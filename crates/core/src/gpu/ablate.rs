@@ -10,7 +10,6 @@
 
 use imagekit::ImageF32;
 use simgpu::context::Context;
-use simgpu::cost::{CostCounters, OpCounts};
 
 use crate::cpu::stages as cpu_stages;
 use crate::gpu::kernels::reduction::{
@@ -18,6 +17,7 @@ use crate::gpu::kernels::reduction::{
 };
 use crate::gpu::kernels::upscale::upscale_border_gpu;
 use crate::gpu::kernels::KernelTuning;
+use crate::gpu::program::host_reduction_counters;
 use crate::params::{device_stride, SCALE};
 
 /// Simulated time of the two-stage GPU reduction of `n` elements,
@@ -43,10 +43,7 @@ pub fn reduction_gpu_time(
     } else {
         let mut part = vec![0.0f32; groups];
         q.enqueue_read(&partials, &mut part).expect("read partials");
-        let mut c = CostCounters::new();
-        c.charge_ops_n(&OpCounts::ZERO.adds(1), groups as u64);
-        c.global_read_scalar = groups as u64 * 4;
-        q.charge_host("host:reduction_stage2", &c);
+        q.charge_host("host:reduction_stage2", &host_reduction_counters(groups));
     }
     q.elapsed()
 }
@@ -59,10 +56,7 @@ pub fn reduction_cpu_time(ctx: &Context, n: usize) -> f64 {
     let src = ctx.buffer_from("pEdge", &data);
     let mut host = vec![0.0f32; n];
     q.enqueue_read(&src, &mut host).expect("read pEdge");
-    let mut c = CostCounters::new();
-    c.charge_ops_n(&OpCounts::ZERO.adds(1), n as u64);
-    c.global_read_scalar = n as u64 * 4;
-    q.charge_host("host:reduction", &c);
+    q.charge_host("host:reduction", &host_reduction_counters(n));
     q.elapsed()
 }
 

@@ -1,7 +1,7 @@
 //! The downscale kernel: one thread per downscaled pixel, averaging its
 //! 4×4 source block (paper Fig. 2).
 
-use simgpu::access::{AccessSummary, AccessWindow, BufRef};
+use simgpu::access::{AccessSummary, AccessWindow, BufRef, Declaration};
 use simgpu::buffer::Buffer;
 use simgpu::cost::OpCounts;
 use simgpu::error::{Error, Result};
@@ -9,7 +9,9 @@ use simgpu::kernel::KernelDesc;
 use simgpu::queue::CommandQueue;
 use simgpu::timing::KernelTime;
 
-use super::{covered_rows, grid2d, summarize, KernelTuning, Launch, SrcImage, SrcInfo};
+use super::{
+    covered_rows, declare, grid2d, work_n, KernelTuning, Launch, Slicing, SrcImage, SrcInfo,
+};
 use crate::params::{MIN_DIM, SCALE};
 
 /// Dispatches the downscale kernel: `down[j, i] = mean(src block)`, where
@@ -28,7 +30,19 @@ pub fn downscale_kernel(
     h: usize,
     tune: KernelTuning,
 ) -> Result<KernelTime> {
-    downscale_launch(q, src, down, w, h, tune, Launch::Full)
+    check_args(w, h)?;
+    let decl = downscale_decl(&SrcInfo::of(src), down.info(), w, h, tune, Slicing::Whole);
+    downscale_launch(q, src, down, w, h, Launch::Full(&decl))
+}
+
+fn check_args(w: usize, h: usize) -> Result<()> {
+    if w < MIN_DIM || h < MIN_DIM {
+        return Err(Error::InvalidKernelArgs {
+            kernel: "downscale".into(),
+            detail: format!("shape {w}x{h} below the {MIN_DIM}x{MIN_DIM} minimum"),
+        });
+    }
+    Ok(())
 }
 
 /// [`downscale_kernel`] with an explicit [`Launch`] mode (one work-group
@@ -39,40 +53,22 @@ pub(crate) fn downscale_launch(
     down: &Buffer<f32>,
     w: usize,
     h: usize,
-    tune: KernelTuning,
-    launch: Launch<'_>,
+    launch: Launch<'_, '_>,
 ) -> Result<KernelTime> {
-    if w < MIN_DIM || h < MIN_DIM {
-        return Err(Error::InvalidKernelArgs {
-            kernel: "downscale".into(),
-            detail: format!("shape {w}x{h} below the {MIN_DIM}x{MIN_DIM} minimum"),
-        });
-    }
+    check_args(w, h)?;
     let (wd, hd) = (w.div_ceil(SCALE), h.div_ceil(SCALE));
-    let desc = grid2d("downscale", wd, hd);
     let src = src.clone();
-    let access = summarize(&launch, &desc, |groups| {
-        downscale_access(&desc, groups, &SrcInfo::of(&src), down.info(), w, h)
-    });
     let dview = down.write_view();
-    // Per full block: 15 adds + 1 mul for the mean, plus index arithmetic.
-    let per_item = OpCounts::ZERO.adds(15).muls(1).plus(&tune.idx_ops());
-    let idx_ops = tune.idx_ops();
-    launch.dispatch(q, &desc, access, &[down], move |g| {
+    launch.dispatch(q, &[down], move |g| {
         // Row-segment form: each output row of the group reads its four
         // source rows as contiguous slices and accumulates the 4×4 block
         // sums in the same dy-major/dx-minor order as
-        // [`math::downscale_pixel`] (bit-identical results), with the
-        // per-thread traffic — 16 scalar loads, 1 scalar store — charged
-        // in bulk. Ragged blocks (right column with w % 4 != 0, bottom row
-        // with h % 4 != 0) fall back to per-element loads of the pixels
-        // that exist, in the same dy-major order as the CPU partial-block
-        // path.
+        // [`math::downscale_pixel`] (bit-identical results). Ragged blocks
+        // (right column with w % 4 != 0, bottom row with h % 4 != 0) fall
+        // back to per-element loads of the pixels that exist, in the same
+        // dy-major order as the CPU partial-block path.
         let gw = g.group_size[0];
         let x_start = g.group_id[0] * gw;
-        let mut n_full = 0u64;
-        let mut tail_adds = 0u64;
-        let mut n_tail = 0u64;
         let mut scratch = [0.0f32; super::GROUP_2D[0]];
         for ly in 0..g.group_size[1] {
             g.begin_item([0, ly]);
@@ -91,7 +87,6 @@ pub(crate) fn downscale_launch(
             };
             if full_end > x_start {
                 let span = full_end - x_start;
-                n_full += span as u64;
                 let row_out = &mut scratch[..span];
                 let rows: [&[f32]; SCALE] = std::array::from_fn(|dy| {
                     src.view.slice_raw(
@@ -112,8 +107,6 @@ pub(crate) fn downscale_launch(
             }
             for i in full_end..x_end {
                 let bw = (w - SCALE * i).min(SCALE);
-                n_tail += 1;
-                tail_adds += (bw * bh) as u64 - 1;
                 let mut s = 0.0f32;
                 for dy in 0..bh {
                     for dx in 0..bw {
@@ -126,11 +119,31 @@ pub(crate) fn downscale_launch(
                 g.store(&dview, j * wd + i, s * (1.0 / (bw * bh) as f32));
             }
         }
-        g.charge_global_n(64, 0, 4, 0, n_full);
-        g.charge_n(&per_item, n_full);
-        g.charge_n(&OpCounts::ZERO.adds(1), tail_adds);
-        g.charge_n(&OpCounts::ZERO.muls(1).plus(&idx_ops), n_tail);
     })
+}
+
+/// The downscale dispatch's declaration. Each full 4×4 block costs 15
+/// adds, one mul and the index recipe (16 loads, one store); a ragged edge
+/// block of `k` samples costs `k - 1` adds, one mul and the index recipe.
+pub(crate) fn downscale_decl(
+    src: &SrcInfo,
+    down: BufRef,
+    w: usize,
+    h: usize,
+    tune: KernelTuning,
+    slicing: Slicing<'_>,
+) -> Declaration {
+    let (wd, hd) = (w.div_ceil(SCALE), h.div_ceil(SCALE));
+    let desc = grid2d("downscale", wd, hd);
+    let idx = tune.idx_ops();
+    let n_full = ((w / SCALE) * (h / SCALE)) as u64;
+    let n_tail = (wd * hd) as u64 - n_full;
+    let tail_adds = (w * h) as u64 - 16 * n_full - n_tail;
+    let mut work = work_n(OpCounts::ZERO.adds(15).muls(1).plus(&idx), n_full);
+    work.charge_ops_n(&OpCounts::ZERO.adds(1), tail_adds);
+    work.charge_ops_n(&OpCounts::ZERO.muls(1).plus(&idx), n_tail);
+    let build = |groups| downscale_access(&desc, groups, src, down.clone(), w, h);
+    declare(desc.clone(), slicing, build, work)
 }
 
 /// Closed-form access summary of the downscale dispatch: full 4×4 blocks

@@ -10,8 +10,12 @@
 //! unroll-last-two-wavefronts).
 //!
 //! All kernels are *functionally real* — they produce the same pixels as
-//! the CPU reference, enforced bit-exactly by the test suite — while
-//! charging the cost model for the access pattern they embody.
+//! the CPU reference, enforced bit-exactly by the test suite. What each
+//! dispatch costs is declared, not counted: next to every kernel body sits
+//! its `*_decl` constructor, the one closed-form description of the
+//! dispatch's access windows and cost counters, which the executor, the
+//! static verifier and the cost predictor all take from the frame program
+//! ([`crate::gpu::program`]).
 
 pub mod downscale;
 pub mod perror;
@@ -21,9 +25,11 @@ pub mod simd;
 pub mod sobel;
 pub mod upscale;
 
-use simgpu::access::{AccessSummary, BufRef};
+use std::ops::Range;
+
+use simgpu::access::{AccessSummary, BufRef, Declaration};
 use simgpu::buffer::GlobalView;
-use simgpu::cost::OpCounts;
+use simgpu::cost::{CostCounters, OpCounts};
 use simgpu::error::Result;
 use simgpu::kernel::{round_up, GroupCtx, KernelDesc};
 use simgpu::queue::{CommandQueue, SlicedDispatch, WriteTracked};
@@ -97,8 +103,8 @@ impl KernelTuning {
 
 /// The static half of [`SrcImage`]: buffer identity plus geometry, enough
 /// for an access-summary constructor to compute indices without holding a
-/// live view. The `core::gpu::verify` enumerator builds these from pure
-/// arithmetic (no buffers allocated).
+/// live view. The frame program builds these from pure arithmetic (no
+/// buffers allocated).
 #[derive(Debug, Clone)]
 pub struct SrcInfo {
     /// Buffer identity (label, length, element size).
@@ -129,44 +135,30 @@ impl SrcInfo {
     }
 }
 
-/// How a kernel dispatch executes: as one whole-grid `run` (recording its
-/// command immediately, the monolithic schedule) or as a contiguous
-/// work-group-row slice of the grid merged into a megapass accumulator.
-/// Sliced launches record nothing — the banded scheduler commits the
-/// accumulator once per frame via
+/// How a kernel dispatch executes: as one whole-grid `run` of its
+/// declaration (recording its command immediately, the monolithic
+/// schedule) or as the next declared slice of a banded dispatch. Sliced
+/// launches record nothing — the banded scheduler commits the accumulator
+/// once per frame via
 /// [`simgpu::queue::CommandQueue::commit_sliced`], producing the identical
 /// single kernel record (same counters, same simulated time) the
 /// monolithic dispatch would have.
-pub enum Launch<'a> {
-    /// Whole-grid dispatch.
-    Full,
+pub enum Launch<'a, 'd> {
+    /// Whole-grid dispatch of this declaration.
+    Full(&'d Declaration),
     /// Execute only this contiguous range of work-group *rows* (a group
     /// row is `num_groups()[0]` consecutive flat group indices; for 1-D
-    /// grids it is one work-group).
-    Slice(std::ops::Range<usize>, &'a mut SlicedDispatch),
+    /// grids it is the whole grid), which must be the accumulator's next
+    /// declared slice.
+    Slice(Range<usize>, &'a mut SlicedDispatch<'d>),
 }
 
-impl Launch<'_> {
-    /// The flat work-group range this launch covers.
-    pub(crate) fn groups(&self, desc: &KernelDesc) -> std::ops::Range<usize> {
-        match self {
-            Launch::Full => 0..desc.total_groups(),
-            Launch::Slice(rows, _) => {
-                let [gx, _] = desc.num_groups();
-                rows.start * gx..rows.end * gx
-            }
-        }
-    }
-
-    /// Dispatches `f` over `desc` per the launch mode, declaring `access`
-    /// (its statically verified [`AccessSummary`]) to the queue first.
-    /// Sliced launches return a zero [`KernelTime`]: the simulated cost is
-    /// charged at commit, not here.
+impl Launch<'_, '_> {
+    /// Dispatches `f` per the launch mode. Sliced launches return a zero
+    /// [`KernelTime`]: the simulated cost is charged at commit, not here.
     pub(crate) fn dispatch<F>(
         self,
         q: &mut CommandQueue,
-        desc: &KernelDesc,
-        access: AccessSummary,
         outputs: &[&dyn WriteTracked],
         f: F,
     ) -> Result<KernelTime>
@@ -174,53 +166,65 @@ impl Launch<'_> {
         F: Fn(&mut GroupCtx) + Sync,
     {
         match self {
-            Launch::Full => {
-                q.declare_access(access)?;
-                q.run(desc, outputs, f)
-            }
+            Launch::Full(decl) => q.run(decl, outputs, f),
             Launch::Slice(rows, acc) => {
-                let [gx, _] = desc.num_groups();
-                let range = rows.start * gx..rows.end * gx;
-                if range.is_empty() {
-                    return Ok(KernelTime::default());
-                }
-                q.declare_access(access)?;
-                q.run_sliced(desc, outputs, range, acc, f)?;
+                let [gx, _] = acc.declaration().desc.num_groups();
+                q.run_sliced(acc, rows.start * gx..rows.end * gx, outputs, f)?;
                 Ok(KernelTime::default())
             }
         }
     }
 }
 
-/// Builds the access summary for a launch via the kernel's closed-form
-/// constructor `build`, carrying the *whole-dispatch* exact read-overcharge
-/// ratio on every slice: the ratio bounds the dispatch totals (a
-/// border-only slice may charge reads while declaring none), exactly as
-/// the dynamic audit applies it at commit.
-pub(crate) fn summarize(
-    launch: &Launch<'_>,
-    desc: &KernelDesc,
-    build: impl Fn(std::ops::Range<usize>) -> AccessSummary,
-) -> AccessSummary {
+/// Which work-groups each slice of a declared dispatch covers.
+#[derive(Debug, Clone, Copy)]
+pub(crate) enum Slicing<'a> {
+    /// One slice over the whole grid.
+    Whole,
+    /// One slice per range of work-group rows (2-D grids).
+    Rows(&'a [Range<usize>]),
+    /// One slice per range of flat work-group indices.
+    Groups(&'a [Range<usize>]),
+}
+
+/// Assembles a kernel's [`Declaration`] from its closed-form summary
+/// constructor `build` and its non-traffic `work` counters. Every slice
+/// carries the *whole-dispatch* exact read-overcharge ratio: the ratio
+/// bounds the dispatch totals (a border-only slice may charge reads while
+/// declaring none), exactly as the sanitizer's audit applies it at commit.
+pub(crate) fn declare(
+    desc: KernelDesc,
+    slicing: Slicing<'_>,
+    build: impl Fn(Range<usize>) -> AccessSummary,
+    work: CostCounters,
+) -> Declaration {
     let full = build(0..desc.total_groups());
     let ratio = full.exact_read_ratio();
-    let groups = launch.groups(desc);
-    let mut s = if groups == (0..desc.total_groups()) {
-        full
-    } else {
-        build(groups)
+    let [gx, _] = desc.num_groups();
+    let mut slices = match slicing {
+        Slicing::Whole => vec![full],
+        Slicing::Rows(rows) => rows
+            .iter()
+            .map(|r| build(r.start * gx..r.end * gx))
+            .collect(),
+        Slicing::Groups(groups) => groups.iter().map(|g| build(g.clone())).collect(),
     };
-    s.read_ratio = ratio;
-    s
+    for s in &mut slices {
+        s.read_ratio = ratio;
+    }
+    Declaration::new(desc, slices, work)
+}
+
+/// The work counters of a dispatch that runs `per_item` for `n` items.
+pub(crate) fn work_n(per_item: OpCounts, n: u64) -> CostCounters {
+    let mut c = CostCounters::new();
+    c.charge_ops_n(&per_item, n);
+    c
 }
 
 /// Image rows covered by the flat group range `groups` of a 2-D dispatch
 /// over `ny` logical rows (slices always cover whole work-group rows).
-pub(crate) fn covered_rows(
-    desc: &KernelDesc,
-    groups: &std::ops::Range<usize>,
-    ny: usize,
-) -> std::ops::Range<usize> {
+pub(crate) fn covered_rows(desc: &KernelDesc, groups: &Range<usize>, ny: usize) -> Range<usize> {
     let [gx, _] = desc.num_groups();
     let gy0 = groups.start / gx;
     let gy1 = groups.end.div_ceil(gx);
@@ -230,11 +234,7 @@ pub(crate) fn covered_rows(
 /// Image rows of a covered row range that the 3×3-window kernels treat as
 /// body rows (the strict interior of the image); empty when the image has
 /// no interior (`w <= 2` or `h <= 2`).
-pub(crate) fn interior_rows(
-    rows: &std::ops::Range<usize>,
-    w: usize,
-    h: usize,
-) -> std::ops::Range<usize> {
+pub(crate) fn interior_rows(rows: &Range<usize>, w: usize, h: usize) -> Range<usize> {
     if w <= 2 || h <= 2 {
         return 0..0;
     }

@@ -4,7 +4,7 @@
 //! folds the subtraction into the fused sharpness kernel and keeps the
 //! difference in registers.
 
-use simgpu::access::{AccessSummary, AccessWindow, BufRef};
+use simgpu::access::{AccessSummary, AccessWindow, BufRef, Declaration};
 use simgpu::buffer::{Buffer, GlobalView};
 use simgpu::cost::OpCounts;
 use simgpu::error::Result;
@@ -13,7 +13,8 @@ use simgpu::queue::CommandQueue;
 use simgpu::timing::KernelTime;
 
 use super::{
-    covered_rows, grid2d, simd, summarize, KernelTuning, Launch, SrcImage, SrcInfo, GROUP_2D,
+    covered_rows, declare, grid2d, simd, work_n, KernelTuning, Launch, Slicing, SrcImage, SrcInfo,
+    GROUP_2D,
 };
 
 /// Dispatches the pError kernel over the full image. `ws` is the device
@@ -30,7 +31,17 @@ pub fn perror_kernel(
     ws: usize,
     tune: KernelTuning,
 ) -> Result<KernelTime> {
-    perror_launch(q, src, up, perr, w, h, ws, tune, Launch::Full)
+    let decl = perror_decl(
+        &SrcInfo::of(src),
+        up.info(),
+        perr.info(),
+        w,
+        h,
+        ws,
+        tune,
+        Slicing::Whole,
+    );
+    perror_launch(q, src, up, perr, w, h, ws, Launch::Full(&decl))
 }
 
 /// [`perror_kernel`] with an explicit [`Launch`] mode (one work-group row
@@ -44,34 +55,16 @@ pub(crate) fn perror_launch(
     w: usize,
     h: usize,
     ws: usize,
-    tune: KernelTuning,
-    launch: Launch<'_>,
+    launch: Launch<'_, '_>,
 ) -> Result<KernelTime> {
-    let desc = grid2d("perror", w, h);
-    let access = summarize(&launch, &desc, |groups| {
-        perror_access(
-            &desc,
-            groups,
-            &SrcInfo::of(src),
-            up.info(),
-            perr.info(),
-            w,
-            h,
-            ws,
-        )
-    });
     let pview = perr.write_view();
     let src = src.clone();
     let up = up.clone();
-    let per_item = OpCounts::ZERO.adds(1).plus(&tune.idx_ops());
     // Row-span form: the subtraction runs over contiguous row slices
-    // (autovectorized or dispatched via [`simd::sub_span`]). Charges are
-    // exact — two 4 B loads and one 4 B store per covered pixel, the same
-    // bytes the per-item form charged through `load`/`store`.
-    launch.dispatch(q, &desc, access, &[perr], move |g| {
+    // (autovectorized or dispatched via [`simd::sub_span`]).
+    launch.dispatch(q, &[perr], move |g| {
         let gw = g.group_size[0];
         let x_start = g.group_id[0] * gw;
-        let mut n_items = 0u64;
         let mut scratch = [0.0f32; GROUP_2D[0]];
         for ly in 0..g.group_size[1] {
             g.begin_item([0, ly]);
@@ -80,7 +73,6 @@ pub(crate) fn perror_launch(
                 continue;
             }
             let span = (x_start + gw).min(w) - x_start;
-            n_items += span as u64;
             let o = src
                 .view
                 .slice_raw(src.idx(x_start as isize, y as isize), span);
@@ -89,9 +81,26 @@ pub(crate) fn perror_launch(
             simd::sub_span(o, u, row_out);
             pview.set_span_raw(y * ws + x_start, row_out);
         }
-        g.charge_global_n(8, 0, 4, 0, n_items);
-        g.charge_n(&per_item, n_items);
     })
+}
+
+/// The pError dispatch's declaration: one add plus the index recipe per
+/// pixel.
+#[allow(clippy::too_many_arguments)]
+pub(crate) fn perror_decl(
+    src: &SrcInfo,
+    up: BufRef,
+    perr: BufRef,
+    w: usize,
+    h: usize,
+    ws: usize,
+    tune: KernelTuning,
+    slicing: Slicing<'_>,
+) -> Declaration {
+    let desc = grid2d("perror", w, h);
+    let work = work_n(OpCounts::ZERO.adds(1).plus(&tune.idx_ops()), (w * h) as u64);
+    let build = |groups| perror_access(&desc, groups, src, up.clone(), perr.clone(), w, h, ws);
+    declare(desc.clone(), slicing, build, work)
 }
 
 /// Closed-form access summary of the pError dispatch for the flat group

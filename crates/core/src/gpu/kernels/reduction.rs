@@ -21,13 +21,15 @@
 //! threshold, as the paper does ("the usage of GPU is determined by the
 //! amount of data, and the critical value is tested in advance").
 
-use simgpu::access::{AccessSummary, AccessWindow, BufRef};
+use simgpu::access::{AccessSummary, AccessWindow, BufRef, Declaration};
 use simgpu::buffer::{Buffer, GlobalView, GlobalWriteView};
-use simgpu::cost::OpCounts;
+use simgpu::cost::{CostCounters, OpCounts};
 use simgpu::error::{Error, Result};
 use simgpu::kernel::{GroupCtx, KernelDesc};
 use simgpu::queue::{CommandQueue, SlicedDispatch};
 use simgpu::timing::KernelTime;
+
+use super::{declare, Slicing};
 
 /// Work-group size of the reduction kernels (two 64-lane wavefronts).
 pub const RED_GROUP: usize = 128;
@@ -76,6 +78,34 @@ pub fn reduction_stage1_range_kernel(
     partials: &Buffer<f32>,
     strategy: ReductionStrategy,
 ) -> Result<(usize, KernelTime)> {
+    let decl = stage1_decl(
+        src.info(),
+        partials.info(),
+        offset,
+        n,
+        strategy,
+        Slicing::Whole,
+    );
+    let t = reduction_stage1_launch(q, &decl, src, offset, n, partials, strategy)?;
+    Ok((stage1_groups(n), t))
+}
+
+/// Runs stage 1 over its whole grid under `decl`.
+pub(crate) fn reduction_stage1_launch(
+    q: &mut CommandQueue,
+    decl: &Declaration,
+    src: &GlobalView<f32>,
+    offset: usize,
+    n: usize,
+    partials: &Buffer<f32>,
+    strategy: ReductionStrategy,
+) -> Result<KernelTime> {
+    check_partials(partials, n)?;
+    let body = stage1_body(src.clone(), partials.write_view(), offset, n, strategy);
+    q.run(decl, &[partials], body)
+}
+
+fn check_partials(partials: &Buffer<f32>, n: usize) -> Result<()> {
     let groups = stage1_groups(n);
     if partials.len() < groups {
         return Err(Error::InvalidKernelArgs {
@@ -86,18 +116,7 @@ pub fn reduction_stage1_range_kernel(
             ),
         });
     }
-    let desc = stage1_desc(n, strategy);
-    q.declare_access(stage1_access(
-        &desc,
-        0..desc.total_groups(),
-        src.info(),
-        partials.info(),
-        offset,
-        n,
-    ))?;
-    let body = stage1_body(src.clone(), partials.write_view(), offset, n, strategy);
-    let t = q.run(&desc, &[partials], body)?;
-    Ok((groups, t))
+    Ok(())
 }
 
 /// Closed-form access summary of a stage-1 dispatch over a flat group
@@ -148,28 +167,56 @@ pub(crate) fn stage1_access(
     s
 }
 
-/// The stage-1 dispatch descriptor for `n` input elements — shared by the
-/// monolithic kernel and the megapass commit (which must pin the identical
-/// name and geometry).
-pub(crate) fn stage1_desc(n: usize, strategy: ReductionStrategy) -> KernelDesc {
-    let name = match strategy {
+/// The stage-1 kernel name of a tail strategy.
+pub(crate) fn stage1_name(strategy: ReductionStrategy) -> &'static str {
+    match strategy {
         ReductionStrategy::NoUnroll => "reduction_stage1",
         ReductionStrategy::UnrollOne => "reduction_stage1_unroll1",
         ReductionStrategy::UnrollTwo => "reduction_stage1_unroll2",
+    }
+}
+
+/// The stage-1 dispatch's declaration over `n` elements at `offset`.
+///
+/// Per group: the add-during-load pass charges its full per-thread recipe
+/// unconditionally (128 threads × 8 adds, 8 compares, 1 mul), plus 127
+/// tree adds (126 half-tree + 1 combine for `UnrollTwo`); the barriers,
+/// lock-step divergence and LDS traffic follow from the strategy's tree
+/// shape alone, so full and ragged groups cost the same.
+pub(crate) fn stage1_decl(
+    src: BufRef,
+    partials: BufRef,
+    offset: usize,
+    n: usize,
+    strategy: ReductionStrategy,
+    slicing: Slicing<'_>,
+) -> Declaration {
+    let groups = stage1_groups(n);
+    let desc = KernelDesc::new_1d(stage1_name(strategy), groups * RED_GROUP, RED_GROUP);
+    let groups = groups as u64;
+    let mut work = CostCounters::new();
+    work.charge_ops_n(&OpCounts::ZERO.adds(1151).cmps(1024).muls(128), groups);
+    let (barriers, divergent, local) = match strategy {
+        // Load barrier + one per tree step (64..1).
+        ReductionStrategy::NoUnroll => (8, 0, 2040),
+        // Load barrier only; the last wavefront diverges lock-step.
+        ReductionStrategy::UnrollOne => (1, 6, 2040),
+        // Load barrier + the halves-combining barrier; both wavefronts
+        // diverge through their half-trees.
+        ReductionStrategy::UnrollTwo => (2, 12, 2032),
     };
-    KernelDesc::new_1d(name, stage1_groups(n) * RED_GROUP, RED_GROUP)
+    work.barriers = barriers * groups;
+    work.divergent_branches = divergent * groups;
+    work.local_bytes = local * groups;
+    work.local_alloc_bytes = 4 * RED_GROUP as u64;
+    let build = |g| stage1_access(&desc, g, src.clone(), partials.clone(), offset, n);
+    declare(desc.clone(), slicing, build, work)
 }
 
-/// The stage-2 dispatch descriptor (one `RED_GROUP`-wide work-group) —
-/// shared by the kernel and the static verifier.
-pub(crate) fn stage2_desc() -> KernelDesc {
-    KernelDesc::new_1d("reduction_stage2", RED_GROUP, RED_GROUP)
-}
-
-/// Stage 1 over a flat work-group range, merged into a megapass
+/// Stage 1 over the next declared flat work-group range of a megapass
 /// accumulator (stage 1 is a 1-D grid, so [`super::Launch`]'s group-row
 /// slicing does not apply; the banded scheduler slices it by flat group
-/// index directly and commits once with [`stage1_desc`]).
+/// index directly).
 pub(crate) fn reduction_stage1_sliced(
     q: &mut CommandQueue,
     src: &GlobalView<f32>,
@@ -177,29 +224,11 @@ pub(crate) fn reduction_stage1_sliced(
     partials: &Buffer<f32>,
     strategy: ReductionStrategy,
     groups: std::ops::Range<usize>,
-    acc: &mut SlicedDispatch,
+    acc: &mut SlicedDispatch<'_>,
 ) -> Result<()> {
-    if partials.len() < stage1_groups(n) {
-        return Err(Error::InvalidKernelArgs {
-            kernel: "reduction_stage1".into(),
-            detail: format!(
-                "partials buffer holds {} elements, {} work-groups required",
-                partials.len(),
-                stage1_groups(n)
-            ),
-        });
-    }
-    let desc = stage1_desc(n, strategy);
-    q.declare_access(stage1_access(
-        &desc,
-        groups.clone(),
-        src.info(),
-        partials.info(),
-        0,
-        n,
-    ))?;
+    check_partials(partials, n)?;
     let body = stage1_body(src.clone(), partials.write_view(), 0, n, strategy);
-    q.run_sliced(&desc, &[partials], groups, acc, body)
+    q.run_sliced(acc, groups, &[partials], body)
 }
 
 /// The stage-1 kernel body, shared by the monolithic and sliced entries.
@@ -210,11 +239,6 @@ fn stage1_body(
     n: usize,
     strategy: ReductionStrategy,
 ) -> impl Fn(&mut GroupCtx) + Sync {
-    // Per thread: ELEMS-1 adds for the load pass plus ELEMS bounds compares.
-    let per_thread = OpCounts::ZERO
-        .adds(ELEMS_PER_THREAD as u64)
-        .cmps(ELEMS_PER_THREAD as u64)
-        .muls(1);
     move |g| {
         g.alloc_local(RED_GROUP);
         let base = g.group_id[0] * ELEMS_PER_GROUP;
@@ -223,8 +247,7 @@ fn stage1_body(
         // `base + k*RED_GROUP ..+RED_GROUP` (one element per lid), so the
         // host loop is branch-free and autovectorizes. Each lid still
         // accumulates its 8 elements in identical k-order, so the partial
-        // sums are bit-identical to the lid-major form; the charged
-        // traffic (8 scalar loads per thread) is also unchanged.
+        // sums are bit-identical to the lid-major form.
         if base + ELEMS_PER_GROUP <= n {
             // The span loads are attributed to lane 0 — global reads never
             // conflict with each other, so one-lane attribution is safe.
@@ -238,7 +261,6 @@ fn stage1_body(
                 g.begin_item([lid, 0]);
                 g.local_write(lid, s);
             }
-            g.charge_global_n(4 * ELEMS_PER_THREAD as u64, 0, 0, 0, RED_GROUP as u64);
         } else {
             for lid in 0..RED_GROUP {
                 g.begin_item([lid, 0]);
@@ -259,7 +281,6 @@ fn stage1_body(
                 let a = g.local_read(lid);
                 let b = g.local_read(lid + step);
                 g.local_write(lid, a + b);
-                g.counters.ops.add += 1;
             }
         };
         match strategy {
@@ -281,7 +302,6 @@ fn stage1_body(
                 let mut step = 32;
                 while step >= 1 {
                     tree_step(g, 0, step);
-                    g.divergent(1);
                     step /= 2;
                 }
                 g.begin_item([0, 0]);
@@ -294,7 +314,6 @@ fn stage1_body(
                     let mut step = 32;
                     while step >= 1 {
                         tree_step(g, half, step);
-                        g.divergent(1);
                         step /= 2;
                     }
                 }
@@ -304,11 +323,9 @@ fn stage1_body(
                 g.begin_item([0, 0]);
                 let a = g.local_read(0);
                 let b = g.local_read(64);
-                g.counters.ops.add += 1;
                 g.store(&out, g.group_id[0], a + b);
             }
         }
-        g.charge_n(&per_thread, RED_GROUP as u64);
     }
 }
 
@@ -320,20 +337,38 @@ pub fn reduction_stage2_kernel(
     n_partials: usize,
     result: &Buffer<f32>,
 ) -> Result<KernelTime> {
-    let desc = stage2_desc();
-    q.declare_access(stage2_access(
-        &desc,
-        partials.info(),
-        n_partials,
-        result.info(),
-    ))?;
+    let decl = stage2_decl(partials.info(), n_partials, result.info());
+    reduction_stage2_launch(q, &decl, partials, n_partials, result)
+}
+
+/// The stage-2 dispatch's declaration: per thread `⌈n/128⌉` strided loads
+/// (as many adds and bound compares) plus 7 tree adds; one barrier after
+/// the load pass and one at the 64-wide tree step, lock-step divergence
+/// for the six steps below it.
+pub(crate) fn stage2_decl(partials: BufRef, n_partials: usize, result: BufRef) -> Declaration {
+    let desc = KernelDesc::new_1d("reduction_stage2", RED_GROUP, RED_GROUP);
+    let ptl = n_partials.div_ceil(RED_GROUP) as u64;
+    let mut work = CostCounters::new();
+    work.charge_ops_n(&OpCounts::ZERO.adds(ptl + 7).cmps(ptl), RED_GROUP as u64);
+    work.barriers = 2;
+    work.divergent_branches = 6;
+    work.local_bytes = 2040;
+    work.local_alloc_bytes = 4 * RED_GROUP as u64;
+    let build = |_| stage2_access(&desc, partials.clone(), n_partials, result.clone());
+    declare(desc.clone(), Slicing::Whole, build, work)
+}
+
+/// Runs the stage-2 kernel under `decl`.
+pub(crate) fn reduction_stage2_launch(
+    q: &mut CommandQueue,
+    decl: &Declaration,
+    partials: &GlobalView<f32>,
+    n_partials: usize,
+    result: &Buffer<f32>,
+) -> Result<KernelTime> {
     let partials = partials.clone();
     let out = result.write_view();
-    let per_thread_loads = n_partials.div_ceil(RED_GROUP) as u64;
-    let per_thread = OpCounts::ZERO
-        .adds(per_thread_loads + 7)
-        .cmps(per_thread_loads);
-    let t = q.run(&desc, &[result], move |g| {
+    q.run(decl, &[result], move |g| {
         g.alloc_local(RED_GROUP);
         for lid in 0..RED_GROUP {
             g.begin_item([lid, 0]);
@@ -356,17 +391,13 @@ pub fn reduction_stage2_kernel(
             }
             if step > 32 {
                 g.barrier();
-            } else {
-                g.divergent(1);
             }
             step /= 2;
         }
         g.begin_item([0, 0]);
         let s = g.local_read(0);
         g.store(&out, 0, s);
-        g.charge_n(&per_thread, RED_GROUP as u64);
-    })?;
-    Ok(t)
+    })
 }
 
 /// Closed-form access summary of the stage-2 dispatch: the single group

@@ -8,7 +8,7 @@
 //! preliminary global matrices and their traffic, plus two kernel
 //! launches.
 
-use simgpu::access::{AccessSummary, AccessWindow, BufRef};
+use simgpu::access::{AccessSummary, AccessWindow, BufRef, Declaration};
 use simgpu::buffer::{Buffer, GlobalView};
 use simgpu::cost::OpCounts;
 use simgpu::error::{Error, Result};
@@ -17,8 +17,8 @@ use simgpu::queue::CommandQueue;
 use simgpu::timing::KernelTime;
 
 use super::{
-    body_columns, covered_rows, grid2d, interior_rows, simd, summarize, vec4_body_columns,
-    KernelTuning, Launch, SrcImage, SrcInfo, GROUP_2D,
+    body_columns, covered_rows, declare, grid2d, interior_rows, simd, vec4_body_columns, work_n,
+    KernelTuning, Launch, Slicing, SrcImage, SrcInfo, GROUP_2D,
 };
 use crate::math;
 use crate::params::{SharpnessParams, MIN_DIM};
@@ -39,6 +39,14 @@ pub fn preliminary_kernel(
     ws: usize,
     tune: KernelTuning,
 ) -> Result<KernelTime> {
+    let decl = preliminary_decl(
+        [up.info(), pedge.info(), perr.info(), prelim.info()],
+        w,
+        h,
+        ws,
+        tune,
+        Slicing::Whole,
+    );
     preliminary_launch(
         q,
         up,
@@ -50,8 +58,7 @@ pub fn preliminary_kernel(
         w,
         h,
         ws,
-        tune,
-        Launch::Full,
+        Launch::Full(&decl),
     )
 }
 
@@ -69,41 +76,16 @@ pub(crate) fn preliminary_launch(
     w: usize,
     h: usize,
     ws: usize,
-    tune: KernelTuning,
-    launch: Launch<'_>,
+    launch: Launch<'_, '_>,
 ) -> Result<KernelTime> {
-    let desc = grid2d("preliminary", w, h);
-    let access = summarize(&launch, &desc, |groups| {
-        preliminary_access(
-            &desc,
-            groups,
-            up.info(),
-            pedge.info(),
-            perr.info(),
-            prelim.info(),
-            w,
-            h,
-            ws,
-        )
-    });
     let out = prelim.write_view();
     let (up, pedge, perr) = (up.clone(), pedge.clone(), perr.clone());
-    // strength: div + add + pow + mul + 2 cmp; preliminary: mul + add.
-    let per_item = OpCounts::ZERO
-        .divs(1)
-        .adds(2)
-        .pows(1)
-        .muls(2)
-        .cmps(2)
-        .plus(&tune.idx_ops());
-    let clamp_div = tune.clamp_divergence();
     // Row-span form: three contiguous loads and one store per pixel, run
-    // span-at-a-time through [`simd::preliminary_span`]. Charges are exact
-    // (12 B read + 4 B write per pixel), identical to the per-item form.
-    launch.dispatch(q, &desc, access, &[prelim], move |g| {
+    // span-at-a-time through [`simd::preliminary_span`]. The declared
+    // traffic is exact (12 B read + 4 B write per pixel).
+    launch.dispatch(q, &[prelim], move |g| {
         let gw = g.group_size[0];
         let x_start = g.group_id[0] * gw;
-        let mut n = 0u64;
         let mut scratch = [0.0f32; GROUP_2D[0]];
         for ly in 0..g.group_size[1] {
             g.begin_item([0, ly]);
@@ -112,7 +94,6 @@ pub(crate) fn preliminary_launch(
                 continue;
             }
             let span = (x_start + gw).min(w) - x_start;
-            n += span as u64;
             let i = y * ws + x_start;
             let row_out = &mut scratch[..span];
             simd::preliminary_span(
@@ -125,10 +106,48 @@ pub(crate) fn preliminary_launch(
             );
             out.set_span_raw(i, row_out);
         }
-        g.charge_global_n(12, 0, 4, 0, n);
-        g.charge_n(&per_item, n);
-        g.divergent(n * clamp_div);
     })
+}
+
+/// The preliminary dispatch's declaration. Per pixel: the strength curve
+/// (div + add + pow + mul + 2 compares), the preliminary mul + add and
+/// the index recipe; one divergent branch per pixel unless the clamp
+/// built-ins remove it. `bufs` are the up, pEdge, pError and prelim
+/// buffers.
+pub(crate) fn preliminary_decl(
+    bufs: [BufRef; 4],
+    w: usize,
+    h: usize,
+    ws: usize,
+    tune: KernelTuning,
+    slicing: Slicing<'_>,
+) -> Declaration {
+    let desc = grid2d("preliminary", w, h);
+    let n = (w * h) as u64;
+    let per_item = OpCounts::ZERO
+        .divs(1)
+        .adds(2)
+        .pows(1)
+        .muls(2)
+        .cmps(2)
+        .plus(&tune.idx_ops());
+    let mut work = work_n(per_item, n);
+    work.divergent_branches = n * tune.clamp_divergence();
+    let [up, pedge, perr, prelim] = bufs;
+    let build = |groups| {
+        preliminary_access(
+            &desc,
+            groups,
+            up.clone(),
+            pedge.clone(),
+            perr.clone(),
+            prelim.clone(),
+            w,
+            h,
+            ws,
+        )
+    };
+    declare(desc.clone(), slicing, build, work)
 }
 
 /// Closed-form access summary of the preliminary dispatch: per covered
@@ -174,6 +193,16 @@ pub fn overshoot_kernel(
     params: SharpnessParams,
     tune: KernelTuning,
 ) -> Result<KernelTime> {
+    let decl = overshoot_decl(
+        &SrcInfo::of(src),
+        prelim.info(),
+        finalbuf.info(),
+        w,
+        h,
+        ws,
+        tune,
+        Slicing::Whole,
+    );
     overshoot_launch(
         q,
         src,
@@ -183,8 +212,7 @@ pub fn overshoot_kernel(
         h,
         ws,
         params,
-        tune,
-        Launch::Full,
+        Launch::Full(&decl),
     )
 }
 
@@ -201,45 +229,21 @@ pub(crate) fn overshoot_launch(
     h: usize,
     ws: usize,
     params: SharpnessParams,
-    tune: KernelTuning,
-    launch: Launch<'_>,
+    launch: Launch<'_, '_>,
 ) -> Result<KernelTime> {
-    let desc = grid2d("overshoot", w, h);
     let out = finalbuf.write_view();
     let src = src.clone();
     let prelim = prelim.clone();
-    let per_body = OpCounts::ZERO
-        .cmps(20)
-        .muls(1)
-        .adds(1)
-        .plus(&tune.idx_ops());
-    let clamp_div = tune.clamp_divergence();
     // Row-span form: the body clamp runs over contiguous spans through
-    // [`simd::overshoot_span`]. Charged traffic stays the per-pixel
+    // [`simd::overshoot_span`]. Declared traffic stays the per-pixel
     // pattern (prelim + nine window loads + store per body pixel; prelim +
     // store per border pixel); the observed raw reads per body tile row
     // are one prelim span plus three `(blen+2)`-wide source slices, below
     // the charged windows for every `blen >= 1`, covered by the exact
     // overlapping-window ratio of the access summary.
-    let access = summarize(&launch, &desc, |groups| {
-        overshoot_access(
-            &desc,
-            groups,
-            &SrcInfo::of(&src),
-            prelim.info(),
-            finalbuf.info(),
-            w,
-            h,
-            ws,
-        )
-    });
-    let ratio = access.read_ratio;
-    launch.dispatch(q, &desc, access, &[finalbuf], move |g| {
-        g.declare_read_overcharge(ratio);
+    launch.dispatch(q, &[finalbuf], move |g| {
         let gw = g.group_size[0];
         let x_start = g.group_id[0] * gw;
-        let mut n_body = 0u64;
-        let mut n_border = 0u64;
         let mut scratch = [0.0f32; GROUP_2D[0]];
         for ly in 0..g.group_size[1] {
             g.begin_item([0, ly]);
@@ -256,11 +260,9 @@ pub(crate) fn overshoot_launch(
                 for (o, &p) in row_out.iter_mut().zip(prow) {
                     *o = math::final_border(p);
                 }
-                n_border += span as u64;
             } else {
                 let body_lo = x_start.max(1);
                 let body_hi = x_end.min(w - 1);
-                let mut row_body = 0u64;
                 if body_hi > body_lo {
                     let blen = body_hi - body_lo;
                     let yi = y as isize;
@@ -281,7 +283,6 @@ pub(crate) fn overshoot_launch(
                         &mut row_out[body_lo - x_start..body_hi - x_start],
                         &params,
                     );
-                    row_body = blen as u64;
                 }
                 // `w >= 3` here, so the two border columns are distinct.
                 for x in [0, w - 1] {
@@ -289,19 +290,56 @@ pub(crate) fn overshoot_launch(
                         row_out[x - x_start] = math::final_border(prow[x - x_start]);
                     }
                 }
-                n_body += row_body;
-                n_border += span as u64 - row_body;
             }
             out.set_span_raw(i, row_out);
         }
-        // Body pixel: prelim + nine window loads (40 B) + store; border
-        // pixel: prelim load + store — identical to the per-item charges.
-        g.charge_global_n(40, 0, 4, 0, n_body);
-        g.charge_global_n(4, 0, 4, 0, n_border);
-        g.charge_n(&per_body, n_body);
-        g.charge_n(&OpCounts::ZERO.cmps(4), n_border);
-        g.divergent((n_body * 2 + n_border) * clamp_div);
     })
+}
+
+/// The overshoot dispatch's declaration. Per body pixel: 20 compares for
+/// the 3×3 envelope and clamps, one mul + add for the excursion, and the
+/// index recipe; per border pixel 4 compares; two divergent branches per
+/// body pixel and one per border pixel unless the built-ins remove them.
+#[allow(clippy::too_many_arguments)]
+pub(crate) fn overshoot_decl(
+    src: &SrcInfo,
+    prelim: BufRef,
+    finalbuf: BufRef,
+    w: usize,
+    h: usize,
+    ws: usize,
+    tune: KernelTuning,
+    slicing: Slicing<'_>,
+) -> Declaration {
+    let desc = grid2d("overshoot", w, h);
+    let (n_body, n_border) = body_and_border(w, h);
+    let per_body = OpCounts::ZERO
+        .cmps(20)
+        .muls(1)
+        .adds(1)
+        .plus(&tune.idx_ops());
+    let mut work = work_n(per_body, n_body);
+    work.charge_ops_n(&OpCounts::ZERO.cmps(4), n_border);
+    work.divergent_branches = (2 * n_body + n_border) * tune.clamp_divergence();
+    let build = |groups| {
+        overshoot_access(
+            &desc,
+            groups,
+            src,
+            prelim.clone(),
+            finalbuf.clone(),
+            w,
+            h,
+            ws,
+        )
+    };
+    declare(desc.clone(), slicing, build, work)
+}
+
+/// Body (strict interior) and border pixel counts of a `w × h` image.
+fn body_and_border(w: usize, h: usize) -> (u64, u64) {
+    let n_body = ((w - 2) * (h - 2)) as u64;
+    (n_body, (w * h) as u64 - n_body)
 }
 
 /// Closed-form access summary of the overshoot dispatch: per covered row,
@@ -388,6 +426,8 @@ pub fn sharpness_fused_kernel(
     ws: usize,
     tune: KernelTuning,
 ) -> Result<KernelTime> {
+    let bufs = [up.info(), pedge.info(), finalbuf.info()];
+    let decl = sharpness_fused_decl(&SrcInfo::of(src), bufs, w, h, ws, tune, Slicing::Whole);
     sharpness_fused_launch(
         q,
         src,
@@ -399,8 +439,7 @@ pub fn sharpness_fused_kernel(
         w,
         h,
         ws,
-        tune,
-        Launch::Full,
+        Launch::Full(&decl),
     )
 }
 
@@ -419,46 +458,20 @@ pub(crate) fn sharpness_fused_launch(
     w: usize,
     h: usize,
     ws: usize,
-    tune: KernelTuning,
-    launch: Launch<'_>,
+    launch: Launch<'_, '_>,
 ) -> Result<KernelTime> {
-    let desc = grid2d("sharpness", w, h);
     let out = finalbuf.write_view();
     let src = src.clone();
     let (up, pedge) = (up.clone(), pedge.clone());
-    // pError(1 add) + strength/preliminary + minmax(16 cmp) + overshoot
-    // branches and clamps (6 cmp) + excursion (mul + add).
-    let per_body = OpCounts::ZERO
-        .adds(4)
-        .divs(1)
-        .pows(1)
-        .muls(3)
-        .cmps(24)
-        .plus(&tune.idx_ops());
-    let clamp_div = tune.clamp_divergence();
     // Row-span form, same shape as the vectorized variant below: body
     // pixels run span-at-a-time through [`simd::fused_span`], border
-    // pixels through the exact `fused_pixel(body = false)` path. Charged
+    // pixels through the exact `fused_pixel(body = false)` path. Declared
     // traffic stays the per-pixel pattern (up + pEdge + nine window loads
     // + store per body pixel; up + pEdge + centre + store per border
     // pixel); the observed raw reads per body tile row are the up/pEdge
     // spans plus three `(blen+2)`-wide source slices, below the charged
     // windows for every `blen >= 1`, covered by the summary's exact ratio.
-    let access = summarize(&launch, &desc, |groups| {
-        sharpness_fused_access(
-            &desc,
-            groups,
-            &SrcInfo::of(&src),
-            up.info(),
-            pedge.info(),
-            finalbuf.info(),
-            w,
-            h,
-            ws,
-        )
-    });
-    let ratio = access.read_ratio;
-    launch.dispatch(q, &desc, access, &[finalbuf], move |g| {
+    launch.dispatch(q, &[finalbuf], move |g| {
         // One border pixel, computed exactly as `fused_pixel` with
         // `body = false` would (only the window centre matters).
         let border_pixel =
@@ -468,11 +481,8 @@ pub(crate) fn sharpness_fused_launch(
                 let i = y * ws + x;
                 fused_pixel(&n9, up.get_raw(i), pe.get_raw(i), mean, &params, false)
             };
-        g.declare_read_overcharge(ratio);
         let gw = g.group_size[0];
         let x_start = g.group_id[0] * gw;
-        let mut n_body = 0u64;
-        let mut n_border = 0u64;
         let mut scratch = [0.0f32; GROUP_2D[0]];
         for ly in 0..g.group_size[1] {
             g.begin_item([0, ly]);
@@ -487,11 +497,9 @@ pub(crate) fn sharpness_fused_launch(
                 for (j, x) in (x_start..x_end).enumerate() {
                     row_out[j] = border_pixel(x, y, &src, &up, &pedge);
                 }
-                n_border += span as u64;
             } else {
                 let body_lo = x_start.max(1);
                 let body_hi = x_end.min(w - 1);
-                let mut row_body = 0u64;
                 if body_hi > body_lo {
                     let blen = body_hi - body_lo;
                     let yi = y as isize;
@@ -516,7 +524,6 @@ pub(crate) fn sharpness_fused_launch(
                         mean,
                         &params,
                     );
-                    row_body = blen as u64;
                 }
                 // `w >= 3` here, so the two border columns are distinct.
                 for x in [0, w - 1] {
@@ -524,23 +531,57 @@ pub(crate) fn sharpness_fused_launch(
                         row_out[x - x_start] = border_pixel(x, y, &src, &up, &pedge);
                     }
                 }
-                n_body += row_body;
-                n_border += span as u64 - row_body;
             }
             out.set_span_raw(y * ws + x_start, row_out);
         }
-        // Body pixel: up + pEdge + nine window loads (44 B) + store;
-        // border pixel: up + pEdge + centre (12 B) + store — identical to
-        // the per-item charges.
-        g.charge_global_n(44, 0, 4, 0, n_body);
-        g.charge_global_n(12, 0, 4, 0, n_border);
-        g.charge_n(&per_body, n_body);
-        g.charge_n(
-            &OpCounts::ZERO.adds(3).divs(1).pows(1).muls(2).cmps(6),
-            n_border,
-        );
-        g.divergent((n_body * 2 + n_border) * clamp_div);
     })
+}
+
+/// The fused sharpness dispatch's declaration. Per body pixel: pError
+/// (1 add), strength and preliminary, the 3×3 min/max (16 compares),
+/// overshoot branches and clamps (6 compares), the excursion (mul + add)
+/// and the index recipe; per border pixel pError, strength, preliminary
+/// and 6 compares. Two divergent branches per body pixel and one per
+/// border pixel unless the built-ins remove them. `bufs` are the up,
+/// pEdge and final buffers.
+#[allow(clippy::too_many_arguments)]
+pub(crate) fn sharpness_fused_decl(
+    src: &SrcInfo,
+    bufs: [BufRef; 3],
+    w: usize,
+    h: usize,
+    ws: usize,
+    tune: KernelTuning,
+    slicing: Slicing<'_>,
+) -> Declaration {
+    let desc = grid2d("sharpness", w, h);
+    let (n_body, n_border) = body_and_border(w, h);
+    let per_body = OpCounts::ZERO
+        .adds(4)
+        .divs(1)
+        .pows(1)
+        .muls(3)
+        .cmps(24)
+        .plus(&tune.idx_ops());
+    let mut work = work_n(per_body, n_body);
+    let per_border = OpCounts::ZERO.adds(3).divs(1).pows(1).muls(2).cmps(6);
+    work.charge_ops_n(&per_border, n_border);
+    work.divergent_branches = (2 * n_body + n_border) * tune.clamp_divergence();
+    let [up, pedge, finalbuf] = bufs;
+    let build = |groups| {
+        sharpness_fused_access(
+            &desc,
+            groups,
+            src,
+            up.clone(),
+            pedge.clone(),
+            finalbuf.clone(),
+            w,
+            h,
+            ws,
+        )
+    };
+    declare(desc.clone(), slicing, build, work)
 }
 
 /// Closed-form access summary of the fused sharpness dispatch: per covered
@@ -641,6 +682,9 @@ pub fn sharpness_fused_vec4_kernel(
     ws: usize,
     tune: KernelTuning,
 ) -> Result<KernelTime> {
+    check_vec4_args(src, w, h, ws)?;
+    let bufs = [up.info(), pedge.info(), finalbuf.info()];
+    let decl = sharpness_fused_vec4_decl(&SrcInfo::of(src), bufs, w, h, ws, tune, Slicing::Whole);
     sharpness_fused_vec4_launch(
         q,
         src,
@@ -652,28 +696,11 @@ pub fn sharpness_fused_vec4_kernel(
         w,
         h,
         ws,
-        tune,
-        Launch::Full,
+        Launch::Full(&decl),
     )
 }
 
-/// [`sharpness_fused_vec4_kernel`] with an explicit [`Launch`] mode (one
-/// work-group row covers 16 image rows).
-#[allow(clippy::too_many_arguments)]
-pub(crate) fn sharpness_fused_vec4_launch(
-    q: &mut CommandQueue,
-    src: &SrcImage,
-    up: &GlobalView<f32>,
-    pedge: &GlobalView<f32>,
-    finalbuf: &Buffer<f32>,
-    mean: f32,
-    params: SharpnessParams,
-    w: usize,
-    h: usize,
-    ws: usize,
-    tune: KernelTuning,
-    launch: Launch<'_>,
-) -> Result<KernelTime> {
+fn check_vec4_args(src: &SrcImage, w: usize, h: usize, ws: usize) -> Result<()> {
     if src.pad != 1 {
         return Err(Error::InvalidKernelArgs {
             kernel: "sharpness_vec4".into(),
@@ -691,37 +718,30 @@ pub(crate) fn sharpness_fused_vec4_launch(
             ),
         });
     }
-    let desc = grid2d("sharpness_vec4", ws / 4, h);
+    Ok(())
+}
+
+/// [`sharpness_fused_vec4_kernel`] with an explicit [`Launch`] mode (one
+/// work-group row covers 16 image rows).
+#[allow(clippy::too_many_arguments)]
+pub(crate) fn sharpness_fused_vec4_launch(
+    q: &mut CommandQueue,
+    src: &SrcImage,
+    up: &GlobalView<f32>,
+    pedge: &GlobalView<f32>,
+    finalbuf: &Buffer<f32>,
+    mean: f32,
+    params: SharpnessParams,
+    w: usize,
+    h: usize,
+    ws: usize,
+    launch: Launch<'_, '_>,
+) -> Result<KernelTime> {
+    check_vec4_args(src, w, h, ws)?;
     let out = finalbuf.write_view();
     let src = src.clone();
     let (up, pedge) = (up.clone(), pedge.clone());
-    let per_thread = OpCounts::ZERO
-        .adds(16)
-        .divs(4)
-        .pows(4)
-        .muls(12)
-        .cmps(96 + 8)
-        .plus(&tune.idx_ops());
-    let clamp_div = tune.clamp_divergence();
-    // Charged loads are 26 per thread over (ws/4)·h threads; the summary
-    // declares the distinct-window events actually observed (3 source
-    // halo slices + up/pEdge rows), and carries the exact ratio between
-    // the two.
-    let access = summarize(&launch, &desc, |groups| {
-        sharpness_fused_vec4_access(
-            &desc,
-            groups,
-            &SrcInfo::of(&src),
-            up.info(),
-            pedge.info(),
-            finalbuf.info(),
-            w,
-            h,
-            ws,
-        )
-    });
-    let ratio = access.read_ratio;
-    launch.dispatch(q, &desc, access, &[finalbuf], move |g| {
+    launch.dispatch(q, &[finalbuf], move |g| {
         // One border pixel, computed exactly as `fused_pixel` with
         // `body = false` would (only the window centre matters).
         let border_pixel =
@@ -733,14 +753,12 @@ pub(crate) fn sharpness_fused_vec4_launch(
             };
         // The group's threads cover `4 * group_size[0]` consecutive pixels
         // per row; the work is done row-segment at a time so the body loop
-        // is branch-free, while the charged traffic below stays exactly
-        // what the per-thread vload4/vstore4 pattern accounts.
-        // As in the vectorized Sobel, the charged overlapping-window
-        // traffic exceeds the distinct elements the row spans touch.
-        g.declare_read_overcharge(ratio);
+        // is branch-free, while the declared traffic stays exactly what the
+        // per-thread vload4/vstore4 pattern accounts. As in the vectorized
+        // Sobel, that overlapping-window traffic exceeds the distinct
+        // elements the row spans touch.
         let gw = g.group_size[0];
         let x_start = 4 * g.group_id[0] * gw;
-        let mut n_threads = 0u64;
         let mut scratch = [0.0f32; 4 * GROUP_2D[0]];
         for ly in 0..g.group_size[1] {
             g.begin_item([0, ly]);
@@ -750,7 +768,6 @@ pub(crate) fn sharpness_fused_vec4_launch(
             }
             let x_end = (x_start + 4 * gw).min(ws);
             let span = x_end - x_start;
-            n_threads += (span / 4) as u64;
             let yi = y as isize;
             let row_out = &mut scratch[..span];
             // Stride-padding columns beyond `w` stay zero on every row,
@@ -793,12 +810,50 @@ pub(crate) fn sharpness_fused_vec4_launch(
             }
             out.set_span_raw(y * ws + x_start, row_out);
         }
-        // Per thread: 3 src vload4 (48 B) + up/pEdge vload4 (32 B) vector
-        // reads, 6 src scalar loads (24 B), one vstore4 (16 B).
-        g.charge_global_n(24, 80, 0, 16, n_threads);
-        g.charge_n(&per_thread, n_threads);
-        g.divergent(n_threads * clamp_div);
     })
+}
+
+/// The vectorized fused sharpness dispatch's declaration: per thread (four
+/// pixels) 16 adds, 4 divs, 4 pows, 12 muls, 104 compares and the index
+/// recipe over `(ws / 4) · h` threads, with one divergent branch per
+/// thread unless the built-ins remove it. `bufs` are the up, pEdge and
+/// final buffers.
+#[allow(clippy::too_many_arguments)]
+pub(crate) fn sharpness_fused_vec4_decl(
+    src: &SrcInfo,
+    bufs: [BufRef; 3],
+    w: usize,
+    h: usize,
+    ws: usize,
+    tune: KernelTuning,
+    slicing: Slicing<'_>,
+) -> Declaration {
+    let desc = grid2d("sharpness_vec4", ws / 4, h);
+    let n_threads = (ws / 4 * h) as u64;
+    let per_thread = OpCounts::ZERO
+        .adds(16)
+        .divs(4)
+        .pows(4)
+        .muls(12)
+        .cmps(96 + 8)
+        .plus(&tune.idx_ops());
+    let mut work = work_n(per_thread, n_threads);
+    work.divergent_branches = n_threads * tune.clamp_divergence();
+    let [up, pedge, finalbuf] = bufs;
+    let build = |groups| {
+        sharpness_fused_vec4_access(
+            &desc,
+            groups,
+            src,
+            up.clone(),
+            pedge.clone(),
+            finalbuf.clone(),
+            w,
+            h,
+            ws,
+        )
+    };
+    declare(desc.clone(), slicing, build, work)
 }
 
 /// Closed-form access summary of the vectorized fused sharpness dispatch:

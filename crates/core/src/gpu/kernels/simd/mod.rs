@@ -25,8 +25,8 @@
 //! fast path uses `sqrt`, pinned against `powf(0.5)` by the math tests.
 //!
 //! This module never touches `GroupCtx` or the cost model: spans operate
-//! on plain slices, and all charging stays in the kernels
-//! (`scripts/lint_invariants.sh` rule 6).
+//! on plain slices, and what a dispatch costs is declared by the kernels'
+//! `*_decl` constructors (`scripts/lint_invariants.sh` rule 6).
 
 use std::sync::atomic::{AtomicU8, Ordering};
 use std::sync::OnceLock;

@@ -3,7 +3,7 @@
 //! them — "the accessing for every node in original matrix is repeated for
 //! about only 4.5 times" instead of 8).
 
-use simgpu::access::{AccessSummary, AccessWindow, BufRef};
+use simgpu::access::{AccessSummary, AccessWindow, BufRef, Declaration};
 use simgpu::buffer::Buffer;
 use simgpu::cost::OpCounts;
 use simgpu::error::{Error, Result};
@@ -12,8 +12,8 @@ use simgpu::queue::CommandQueue;
 use simgpu::timing::KernelTime;
 
 use super::{
-    body_columns, covered_rows, grid2d, interior_rows, simd, summarize, vec4_body_columns,
-    KernelTuning, Launch, SrcImage, SrcInfo, GROUP_2D,
+    body_columns, covered_rows, declare, grid2d, interior_rows, simd, vec4_body_columns, work_n,
+    KernelTuning, Launch, Slicing, SrcImage, SrcInfo, GROUP_2D,
 };
 use crate::math;
 use crate::params::MIN_DIM;
@@ -30,22 +30,20 @@ pub fn sobel_scalar_kernel(
     ws: usize,
     tune: KernelTuning,
 ) -> Result<KernelTime> {
-    sobel_scalar_launch(q, src, pedge, w, h, ws, tune, Launch::Full)
+    check_scalar_args(w, h, ws)?;
+    let decl = sobel_scalar_decl(
+        &SrcInfo::of(src),
+        pedge.info(),
+        w,
+        h,
+        ws,
+        tune,
+        Slicing::Whole,
+    );
+    sobel_scalar_launch(q, src, pedge, w, h, ws, Launch::Full(&decl))
 }
 
-/// [`sobel_scalar_kernel`] with an explicit [`Launch`] mode (the banded
-/// scheduler slices the grid by work-group rows of 16 image rows).
-#[allow(clippy::too_many_arguments)]
-pub(crate) fn sobel_scalar_launch(
-    q: &mut CommandQueue,
-    src: &SrcImage,
-    pedge: &Buffer<f32>,
-    w: usize,
-    h: usize,
-    ws: usize,
-    tune: KernelTuning,
-    launch: Launch<'_>,
-) -> Result<KernelTime> {
+fn check_scalar_args(w: usize, h: usize, ws: usize) -> Result<()> {
     if w < MIN_DIM || h < MIN_DIM || ws < w {
         return Err(Error::InvalidKernelArgs {
             kernel: "sobel".into(),
@@ -54,32 +52,34 @@ pub(crate) fn sobel_scalar_launch(
             ),
         });
     }
-    let desc = grid2d("sobel", w, h);
+    Ok(())
+}
+
+/// [`sobel_scalar_kernel`] with an explicit [`Launch`] mode (the banded
+/// scheduler slices the grid by work-group rows of 16 image rows).
+pub(crate) fn sobel_scalar_launch(
+    q: &mut CommandQueue,
+    src: &SrcImage,
+    pedge: &Buffer<f32>,
+    w: usize,
+    h: usize,
+    ws: usize,
+    launch: Launch<'_, '_>,
+) -> Result<KernelTime> {
+    check_scalar_args(w, h, ws)?;
     let out = pedge.write_view();
     let src = src.clone();
-    let per_item = OpCounts::ZERO
-        .adds(11)
-        .muls(4)
-        .cmps(2)
-        .plus(&tune.idx_ops());
-    let border_div = tune.clamp_divergence();
     // Row-span form: each group walks its 16-column tile row by row, so
     // the stencil runs over contiguous slices (autovectorized by rustc or
-    // dispatched to the explicit backends via [`simd::sobel_span`]).
-    // Charged traffic stays exactly the per-pixel pattern of the one-item-
-    // per-pixel form: eight window loads + one store per body pixel, one
-    // zero store per border pixel. The observed raw reads are the three
-    // `(blen+2)`-wide row slices per tile row, which stay below the
+    // dispatched to the explicit backends via [`simd::sobel_span`]). The
+    // declared traffic stays exactly the per-pixel pattern of the one-
+    // item-per-pixel form: eight window loads + one store per body pixel,
+    // one zero store per border pixel. The observed raw reads are the
+    // three `(blen+2)`-wide row slices per tile row, which stay below the
     // charged windows for every width except `w == 3` (one-pixel body
     // spans), so narrow images keep the exact per-item path.
-    let access = summarize(&launch, &desc, |groups| {
-        sobel_scalar_access(&desc, groups, &SrcInfo::of(&src), pedge.info(), w, h, ws)
-    });
-    let ratio = access.read_ratio;
-    launch.dispatch(q, &desc, access, &[pedge], move |g| {
+    launch.dispatch(q, &[pedge], move |g| {
         if w < 4 {
-            let mut n_body = 0u64;
-            let mut n_border = 0u64;
             for l in items(g.group_size) {
                 g.begin_item(l);
                 let [x, y] = g.global_id(l);
@@ -87,11 +87,9 @@ pub(crate) fn sobel_scalar_launch(
                     continue;
                 }
                 if x == 0 || y == 0 || x == w - 1 || y == h - 1 {
-                    n_border += 1;
                     g.store(&out, y * ws + x, 0.0);
                     continue;
                 }
-                n_body += 1;
                 let (xi, yi) = (x as isize, y as isize);
                 let n = [
                     g.load(&src.view, src.idx(xi - 1, yi - 1)),
@@ -106,16 +104,10 @@ pub(crate) fn sobel_scalar_launch(
                 ];
                 g.store(&out, y * ws + x, math::sobel_pixel(&n));
             }
-            g.charge_n(&per_item, n_body);
-            g.charge_n(&OpCounts::ZERO.cmps(4), n_border + n_body);
-            g.divergent(n_border * border_div);
             return;
         }
-        g.declare_read_overcharge(ratio);
         let gw = g.group_size[0];
         let x_start = g.group_id[0] * gw;
-        let mut n_body = 0u64;
-        let mut n_border = 0u64;
         let mut scratch = [0.0f32; GROUP_2D[0]];
         for ly in 0..g.group_size[1] {
             g.begin_item([0, ly]);
@@ -129,7 +121,6 @@ pub(crate) fn sobel_scalar_launch(
             // Zero first: the border columns/rows the body span below does
             // not overwrite store zero, as in the per-pixel form.
             row_out.fill(0.0);
-            let mut row_body = 0u64;
             if y > 0 && y < h - 1 {
                 let body_lo = x_start.max(1);
                 let body_hi = x_end.min(w - 1);
@@ -151,22 +142,40 @@ pub(crate) fn sobel_scalar_launch(
                         r2,
                         &mut row_out[body_lo - x_start..body_hi - x_start],
                     );
-                    row_body = blen as u64;
                 }
             }
-            n_body += row_body;
-            n_border += span as u64 - row_body;
             out.set_span_raw(y * ws + x_start, row_out);
         }
-        // Eight window loads (32 B) + one store (4 B) per body pixel; one
-        // zero store (4 B) per border pixel — identical to the per-item
-        // charges above.
-        g.charge_global_n(32, 0, 4, 0, n_body);
-        g.charge_global_n(0, 0, 4, 0, n_border);
-        g.charge_n(&per_item, n_body);
-        g.charge_n(&OpCounts::ZERO.cmps(4), n_border + n_body);
-        g.divergent(n_border * border_div);
     })
+}
+
+/// The scalar Sobel dispatch's declaration: per body pixel the stencil
+/// recipe (11 adds, 4 muls, 2 compares, index arithmetic), per pixel 4
+/// border compares, and one divergent branch per border pixel unless the
+/// select built-ins remove it.
+#[allow(clippy::too_many_arguments)]
+pub(crate) fn sobel_scalar_decl(
+    src: &SrcInfo,
+    pedge: BufRef,
+    w: usize,
+    h: usize,
+    ws: usize,
+    tune: KernelTuning,
+    slicing: Slicing<'_>,
+) -> Declaration {
+    let desc = grid2d("sobel", w, h);
+    let n = (w * h) as u64;
+    let n_body = ((w - 2) * (h - 2)) as u64;
+    let per_body = OpCounts::ZERO
+        .adds(11)
+        .muls(4)
+        .cmps(2)
+        .plus(&tune.idx_ops());
+    let mut work = work_n(per_body, n_body);
+    work.charge_ops_n(&OpCounts::ZERO.cmps(4), n);
+    work.divergent_branches = (n - n_body) * tune.clamp_divergence();
+    let build = |groups| sobel_scalar_access(&desc, groups, src, pedge.clone(), w, h, ws);
+    declare(desc.clone(), slicing, build, work)
 }
 
 /// Closed-form access summary of the scalar Sobel dispatch: per covered
@@ -246,21 +255,20 @@ pub fn sobel_vec4_kernel(
     ws: usize,
     tune: KernelTuning,
 ) -> Result<KernelTime> {
-    sobel_vec4_launch(q, src, pedge, w, h, ws, tune, Launch::Full)
+    check_vec4_args(src, w, h, ws)?;
+    let decl = sobel_vec4_decl(
+        &SrcInfo::of(src),
+        pedge.info(),
+        w,
+        h,
+        ws,
+        tune,
+        Slicing::Whole,
+    );
+    sobel_vec4_launch(q, src, pedge, w, h, ws, Launch::Full(&decl))
 }
 
-/// [`sobel_vec4_kernel`] with an explicit [`Launch`] mode.
-#[allow(clippy::too_many_arguments)]
-pub(crate) fn sobel_vec4_launch(
-    q: &mut CommandQueue,
-    src: &SrcImage,
-    pedge: &Buffer<f32>,
-    w: usize,
-    h: usize,
-    ws: usize,
-    tune: KernelTuning,
-    launch: Launch<'_>,
-) -> Result<KernelTime> {
+fn check_vec4_args(src: &SrcImage, w: usize, h: usize, ws: usize) -> Result<()> {
     if src.pad != 1 {
         return Err(Error::InvalidKernelArgs {
             kernel: "sobel_vec4".into(),
@@ -278,37 +286,32 @@ pub(crate) fn sobel_vec4_launch(
             ),
         });
     }
-    let desc = grid2d("sobel_vec4", ws / 4, h);
+    Ok(())
+}
+
+/// [`sobel_vec4_kernel`] with an explicit [`Launch`] mode.
+pub(crate) fn sobel_vec4_launch(
+    q: &mut CommandQueue,
+    src: &SrcImage,
+    pedge: &Buffer<f32>,
+    w: usize,
+    h: usize,
+    ws: usize,
+    launch: Launch<'_, '_>,
+) -> Result<KernelTime> {
+    check_vec4_args(src, w, h, ws)?;
     let out = pedge.write_view();
     let src = src.clone();
-    // Per thread: 4 pixels × (11 add + 4 mul + 2 cmp) + border selects.
-    let per_thread = OpCounts::ZERO
-        .adds(44)
-        .muls(16)
-        .cmps(8 + 4)
-        .plus(&tune.idx_ops());
-    // Charged loads are 18 per thread over (ws/4)·h threads; the summary
-    // declares the halo-slice events actually observed and carries the
-    // exact ratio between the two.
-    let access = summarize(&launch, &desc, |groups| {
-        sobel_vec4_access(&desc, groups, &SrcInfo::of(&src), pedge.info(), w, h, ws)
-    });
-    let ratio = access.read_ratio;
-    launch.dispatch(q, &desc, access, &[pedge], move |g| {
+    launch.dispatch(q, &[pedge], move |g| {
         // Row-segment form: the group's threads cover `4 * group_size[0]`
         // consecutive pixels per row, computed as one branch-free span so
-        // the host autovectorizes it, while the charged traffic stays
-        // exactly the per-thread 3×vload4 + 6 loads + vstore4 pattern
-        // (border-row threads load their windows too before zeroing, so
-        // every covered thread charges the full window).
-        // The charged traffic (18 loads per thread, windows overlapping by
-        // design) exceeds the distinct elements the row-span form touches;
-        // declare the worst-case ratio so the drift audit stays exact-or-
-        // declared.
-        g.declare_read_overcharge(ratio);
+        // the host autovectorizes it. The declared traffic stays exactly
+        // the per-thread 3×vload4 + 6 loads + vstore4 pattern (border-row
+        // threads load their windows too before zeroing), which exceeds
+        // the distinct elements the span form touches by the declared
+        // read-overcharge ratio.
         let gw = g.group_size[0];
         let x_start = 4 * g.group_id[0] * gw;
-        let mut n_threads = 0u64;
         let mut scratch = [0.0f32; 4 * GROUP_2D[0]];
         for ly in 0..g.group_size[1] {
             g.begin_item([0, ly]);
@@ -318,7 +321,6 @@ pub(crate) fn sobel_vec4_launch(
             }
             let x_end = (x_start + 4 * gw).min(ws);
             let span = x_end - x_start;
-            n_threads += (span / 4) as u64;
             let row_out = &mut scratch[..span];
             // Zero everything the body loop below does not overwrite: the
             // image border columns and the stride-padding tail beyond `w`
@@ -352,11 +354,31 @@ pub(crate) fn sobel_vec4_launch(
             }
             out.set_span_raw(y * ws + x_start, row_out);
         }
-        // Per thread: one 3-row window = 3 vload4 (48 B) + 6 scalar loads
-        // (24 B), one vstore4 (16 B).
-        g.charge_global_n(24, 48, 0, 16, n_threads);
-        g.charge_n(&per_thread, n_threads);
     })
+}
+
+/// The vectorized Sobel dispatch's declaration: per thread (four pixels)
+/// 44 adds, 16 muls, 12 compares (border selects included) and the index
+/// recipe, over `(ws / 4) · h` threads.
+#[allow(clippy::too_many_arguments)]
+pub(crate) fn sobel_vec4_decl(
+    src: &SrcInfo,
+    pedge: BufRef,
+    w: usize,
+    h: usize,
+    ws: usize,
+    tune: KernelTuning,
+    slicing: Slicing<'_>,
+) -> Declaration {
+    let desc = grid2d("sobel_vec4", ws / 4, h);
+    let per_thread = OpCounts::ZERO
+        .adds(44)
+        .muls(16)
+        .cmps(12)
+        .plus(&tune.idx_ops());
+    let work = work_n(per_thread, (ws / 4 * h) as u64);
+    let build = |groups| sobel_vec4_access(&desc, groups, src, pedge.clone(), w, h, ws);
+    declare(desc.clone(), slicing, build, work)
 }
 
 /// Closed-form access summary of the vectorized Sobel dispatch: per

@@ -7,7 +7,7 @@
 //! variant here pays four kernel launches plus divergence, reproducing
 //! the crossover of Fig. 17.
 
-use simgpu::access::{AccessSummary, AccessWindow, BufRef};
+use simgpu::access::{AccessSummary, AccessWindow, BufRef, Declaration};
 use simgpu::buffer::{Buffer, GlobalView};
 use simgpu::cost::OpCounts;
 use simgpu::error::{Error, Result};
@@ -15,7 +15,9 @@ use simgpu::kernel::{items, KernelDesc};
 use simgpu::queue::CommandQueue;
 use simgpu::timing::KernelTime;
 
-use super::{covered_rows, grid1d, grid2d, simd, summarize, KernelTuning, Launch, GROUP_2D};
+use super::{
+    covered_rows, declare, grid1d, grid2d, simd, work_n, KernelTuning, Launch, Slicing, GROUP_2D,
+};
 use crate::math;
 use crate::params::{INTERP, MIN_DIM, SCALE};
 
@@ -50,7 +52,9 @@ pub fn upscale_center_scalar_kernel(
     ws: usize,
     tune: KernelTuning,
 ) -> Result<KernelTime> {
-    upscale_center_scalar_launch(q, down, up, w, h, ws, tune, Launch::Full)
+    check_center_args("upscale_center", w, h, ws)?;
+    let decl = upscale_center_scalar_decl(down.info(), up.info(), w, h, ws, tune, Slicing::Whole);
+    upscale_center_scalar_launch(q, down, up, w, h, ws, Launch::Full(&decl))
 }
 
 /// [`upscale_center_scalar_kernel`] with an explicit [`Launch`] mode (one
@@ -63,37 +67,24 @@ pub(crate) fn upscale_center_scalar_launch(
     w: usize,
     h: usize,
     ws: usize,
-    tune: KernelTuning,
-    launch: Launch<'_>,
+    launch: Launch<'_, '_>,
 ) -> Result<KernelTime> {
     let (wd, hd) = check_center_args("upscale_center", w, h, ws)?;
     let (nx, ny) = (wd - 1, hd - 1);
-    let desc = grid2d("upscale_center", nx, ny);
     let down = down.clone();
     let upv = up.write_view();
-    // Per interpolated value: 6 mul + 3 add; index arithmetic per block.
-    let per_value = OpCounts::ZERO.muls(6).adds(3);
-    let idx_ops = tune.idx_ops();
     // Segment form: blocks whose whole 4×4 output tile is interior
     // (clamp-free) share their downscaled row segments and run through the
     // interpolation spans ([`simd::interp4_span`] + [`simd::lerp_span`]),
     // hoisting the column interpolants exactly like the vectorized
     // variant — the identical multiplies/adds in the identical order, so
     // identical bits. Clamped edge blocks keep the exact per-block path.
-    // Charged traffic stays the per-block pattern (four scalar loads,
+    // Declared traffic stays the per-block pattern (four scalar loads,
     // sixteen scalar stores); the fast segment observes `2·(seg+1)` raw
     // reads against `4·seg` charged, covered by the declared ratio.
-    let access = summarize(&launch, &desc, |groups| {
-        upscale_center_scalar_access(&desc, groups, down.info(), up.info(), w, h, ws)
-    });
-    let ratio = access.read_ratio;
-    launch.dispatch(q, &desc, access, &[up], move |g| {
-        g.declare_read_overcharge(ratio);
+    launch.dispatch(q, &[up], move |g| {
         let gw = g.group_size[0];
         let b_start = g.group_id[0] * gw;
-        let mut n_blocks = 0u64;
-        let mut n_vals = 0u64;
-        let mut n_fast = 0u64;
         let mut tops = [0.0f32; 4 * GROUP_2D[0]];
         let mut bots = [0.0f32; 4 * GROUP_2D[0]];
         let mut out_row = [0.0f32; 4 * GROUP_2D[0]];
@@ -114,9 +105,6 @@ pub(crate) fn upscale_center_scalar_launch(
             };
             if fast_end > b_start {
                 let seg = fast_end - b_start;
-                n_blocks += seg as u64;
-                n_fast += seg as u64;
-                n_vals += 16 * seg as u64;
                 let r0 = down.slice_raw(bj * wd + b_start, seg + 1);
                 let r1 = down.slice_raw((bj + 1) * wd + b_start, seg + 1);
                 simd::interp4_span(r0, &mut tops[..4 * seg]);
@@ -128,7 +116,6 @@ pub(crate) fn upscale_center_scalar_launch(
                 }
             }
             for bi in fast_end.max(b_start)..b_end {
-                n_blocks += 1;
                 let d00 = g.load(&down, bj * wd + bi);
                 let d01 = g.load(&down, bj * wd + bi + 1);
                 let d10 = g.load(&down, (bj + 1) * wd + bi);
@@ -143,7 +130,6 @@ pub(crate) fn upscale_center_scalar_launch(
                         if x > w - 3 {
                             break;
                         }
-                        n_vals += 1;
                         g.store(
                             &upv,
                             y * ws + x,
@@ -153,12 +139,34 @@ pub(crate) fn upscale_center_scalar_launch(
                 }
             }
         }
-        // Fast blocks: the per-block four scalar loads (16 B) and sixteen
-        // scalar stores (64 B), charged in bulk.
-        g.charge_global_n(16, 0, 64, 0, n_fast);
-        g.charge_n(&per_value, n_vals);
-        g.charge_n(&idx_ops, n_blocks);
     })
+}
+
+/// Interpolated values of the upscale-center stage: every interior pixel
+/// (`2 ≤ x ≤ w-3`, `2 ≤ y ≤ h-3`) is written once.
+fn center_values(w: usize, h: usize) -> u64 {
+    ((w - 4) * (h - 4)) as u64
+}
+
+/// The scalar upscale-center dispatch's declaration: 6 muls + 3 adds per
+/// interpolated value and the index recipe per block.
+#[allow(clippy::too_many_arguments)]
+pub(crate) fn upscale_center_scalar_decl(
+    down: BufRef,
+    up: BufRef,
+    w: usize,
+    h: usize,
+    ws: usize,
+    tune: KernelTuning,
+    slicing: Slicing<'_>,
+) -> Declaration {
+    let (nx, ny) = (w.div_ceil(SCALE) - 1, h.div_ceil(SCALE) - 1);
+    let desc = grid2d("upscale_center", nx, ny);
+    let mut work = work_n(OpCounts::ZERO.muls(6).adds(3), center_values(w, h));
+    work.charge_ops_n(&tune.idx_ops(), (nx * ny) as u64);
+    let build =
+        |groups| upscale_center_scalar_access(&desc, groups, down.clone(), up.clone(), w, h, ws);
+    declare(desc.clone(), slicing, build, work)
 }
 
 /// Closed-form access summary of the scalar upscale-center dispatch.
@@ -286,7 +294,9 @@ pub fn upscale_center_vec4_kernel(
     ws: usize,
     tune: KernelTuning,
 ) -> Result<KernelTime> {
-    upscale_center_vec4_launch(q, down, up, w, h, ws, tune, Launch::Full)
+    check_center_args("upscale_center_vec4", w, h, ws)?;
+    let decl = upscale_center_vec4_decl(down.info(), up.info(), w, h, ws, tune, Slicing::Whole);
+    upscale_center_vec4_launch(q, down, up, w, h, ws, Launch::Full(&decl))
 }
 
 /// [`upscale_center_vec4_kernel`] with an explicit [`Launch`] mode (one
@@ -299,25 +309,13 @@ pub(crate) fn upscale_center_vec4_launch(
     w: usize,
     h: usize,
     ws: usize,
-    tune: KernelTuning,
-    launch: Launch<'_>,
+    launch: Launch<'_, '_>,
 ) -> Result<KernelTime> {
     let (wd, hd) = check_center_args("upscale_center_vec4", w, h, ws)?;
     let (nx, ny) = (wd - 1, hd - 1);
-    let nx_threads = nx.div_ceil(4);
-    let desc = grid2d("upscale_center_vec4", nx_threads, ny);
     let down = down.clone();
     let upv = up.write_view();
-    // Per interpolated value: 6 mul + 3 add (the fast path hoists shared
-    // factors but charges the same per-value recipe).
-    let per_value = OpCounts::ZERO.muls(6).adds(3);
-    let access = summarize(&launch, &desc, |groups| {
-        upscale_center_vec4_access(&desc, groups, down.info(), up.info(), w, h, ws)
-    });
-    launch.dispatch(q, &desc, access, &[up], move |g| {
-        let mut n_vals = 0u64;
-        let mut n_threads = 0u64;
-        let mut n_fast = 0u64;
+    launch.dispatch(q, &[up], move |g| {
         for l in items(g.group_size) {
             g.begin_item(l);
             let [t, bj] = g.global_id(l);
@@ -325,7 +323,6 @@ pub(crate) fn upscale_center_vec4_launch(
             if bi0 >= nx || bj >= ny {
                 continue;
             }
-            n_threads += 1;
             // Fast path: all four blocks exist, the 5-wide row segments
             // are in bounds, and the whole 16×4 output tile is interior
             // (the two clamp conditions are automatically true for
@@ -336,11 +333,8 @@ pub(crate) fn upscale_center_vec4_launch(
                 // multiplies/adds in the identical order, each computed
                 // once instead of four times — and the four vstore4s of
                 // one output row written as a 16-wide span so the host
-                // loop autovectorizes. The thread's charged traffic
-                // (2 vload4 + 2 scalar loads, 16 vstore4) is accounted in
-                // bulk below, unchanged.
-                n_fast += 1;
-                n_vals += 64;
+                // loop autovectorizes. The thread's declared traffic is
+                // 2 vload4 + 2 scalar loads and 16 vstore4.
                 let r0 = down.slice_raw(bj * wd + bi0, 5);
                 let r1 = down.slice_raw((bj + 1) * wd + bi0, 5);
                 let mut tops = [0.0f32; 16];
@@ -400,7 +394,6 @@ pub(crate) fn upscale_center_vec4_launch(
                             *slot = math::upscale_value(d00, d01, d10, d11, r, c);
                         }
                         g.vstore4(&upv, y * ws + x0, out);
-                        n_vals += 4;
                     } else {
                         // Ragged right edge: clamped scalar stores.
                         for c in 0..SCALE {
@@ -408,7 +401,6 @@ pub(crate) fn upscale_center_vec4_launch(
                             if x > w - 3 {
                                 break;
                             }
-                            n_vals += 1;
                             g.store(
                                 &upv,
                                 y * ws + x,
@@ -419,12 +411,31 @@ pub(crate) fn upscale_center_vec4_launch(
                 }
             }
         }
-        g.charge_n(&per_value, n_vals);
-        g.charge_n(&OpCounts::ZERO.cmps(4).plus(&tune.idx_ops()), n_threads);
-        // Fast-path threads: 2 vload4 (32 B) + 2 scalar loads (8 B) in,
-        // 16 vstore4 (256 B) out.
-        g.charge_global_n(8, 32, 0, 256, n_fast);
     })
+}
+
+/// The vectorized upscale-center dispatch's declaration: 6 muls + 3 adds
+/// per interpolated value (the fast path hoists shared factors but costs
+/// the same per-value recipe), and 4 compares plus the index recipe per
+/// thread of four blocks.
+#[allow(clippy::too_many_arguments)]
+pub(crate) fn upscale_center_vec4_decl(
+    down: BufRef,
+    up: BufRef,
+    w: usize,
+    h: usize,
+    ws: usize,
+    tune: KernelTuning,
+    slicing: Slicing<'_>,
+) -> Declaration {
+    let (nx, ny) = (w.div_ceil(SCALE) - 1, h.div_ceil(SCALE) - 1);
+    let desc = grid2d("upscale_center_vec4", nx.div_ceil(4), ny);
+    let mut work = work_n(OpCounts::ZERO.muls(6).adds(3), center_values(w, h));
+    let per_thread = OpCounts::ZERO.cmps(4).plus(&tune.idx_ops());
+    work.charge_ops_n(&per_thread, (nx.div_ceil(4) * ny) as u64);
+    let build =
+        |groups| upscale_center_vec4_access(&desc, groups, down.clone(), up.clone(), w, h, ws);
+    declare(desc.clone(), slicing, build, work)
 }
 
 /// Closed-form access summary of the vectorized upscale-center dispatch.
@@ -433,8 +444,8 @@ pub(crate) fn upscale_center_vec4_launch(
 /// read two 5-wide strided slices and write one 16-wide 4-row tile each;
 /// slow threads mirror the kernel's per-thread fallback (vload4 + scalar
 /// tail loads, vstore4 or clamped scalar stores per block), with charges
-/// split by scalar/vector class exactly as `g.load`/`g.vload4`/`g.store`/
-/// `g.vstore4` charge them. The charge is exact, so the ratio stays 1.
+/// split into the scalar class for `g.load`/`g.store` and the vector class
+/// for `g.vload4`/`g.vstore4`. The charge is exact, so the ratio stays 1.
 pub(crate) fn upscale_center_vec4_access(
     desc: &KernelDesc,
     groups: std::ops::Range<usize>,
@@ -555,41 +566,44 @@ pub fn upscale_border_gpu(
     ws: usize,
     tune: KernelTuning,
 ) -> Result<Vec<KernelTime>> {
+    check_border_args(w, h, ws)?;
+    let decls = upscale_border_decls(down.info(), up.info(), w, h, ws, tune);
+    upscale_border_launch(q, decls.each_ref(), down, up, w, h, ws)
+}
+
+fn check_border_args(w: usize, h: usize, ws: usize) -> Result<()> {
     if w < MIN_DIM || h < MIN_DIM || ws < w {
         return Err(Error::InvalidKernelArgs {
             kernel: "upscale_border".into(),
             detail: format!("shape {w}x{h} (stride {ws}) below the {MIN_DIM}x{MIN_DIM} minimum"),
         });
     }
+    Ok(())
+}
+
+/// Runs the four border kernels under their declarations (top, bottom,
+/// left, right).
+pub(crate) fn upscale_border_launch(
+    q: &mut CommandQueue,
+    decls: [&Declaration; 4],
+    down: &GlobalView<f32>,
+    up: &Buffer<f32>,
+    w: usize,
+    h: usize,
+    ws: usize,
+) -> Result<Vec<KernelTime>> {
+    check_border_args(w, h, ws)?;
     let (wd, hd) = (w.div_ceil(SCALE), h.div_ceil(SCALE));
     let mut times = Vec::with_capacity(4);
+    let [top, bottom, left, right] = decls;
 
-    // Horizontal border rows: (name, source downscaled row, dest row).
-    for (name, src_row, dst_row) in [
-        ("upscale_border_top", 0usize, 0usize),
-        ("upscale_border_bottom", hd - 1, h - 2),
-    ] {
+    // Horizontal border rows: (declaration, source downscaled row, dest row).
+    for (decl, src_row, dst_row) in [(top, 0usize, 0usize), (bottom, hd - 1, h - 2)] {
         let n_items = (wd - 1).max(1);
-        let desc = grid1d(name, n_items, 64);
         let down = down.clone();
         let upv = up.write_view();
         let companion = if dst_row == 0 { 1 } else { h - 1 };
-        let per_item = OpCounts::ZERO.muls(8).adds(4).cmps(2).plus(&tune.idx_ops());
-        let replicate_item = OpCounts::ZERO.cmps(2).plus(&tune.idx_ops());
-        let access = upscale_border_row_access(
-            &desc,
-            down.info(),
-            up.info(),
-            w,
-            ws,
-            src_row,
-            dst_row,
-            companion,
-        );
-        let t = Launch::Full.dispatch(q, &desc, access, &[up], move |g| {
-            let mut n = 0u64;
-            let mut n_repl = 0u64;
-            let mut corner_events = 0u64;
+        let t = Launch::Full(decl).dispatch(q, &[up], move |g| {
             for l in items(g.group_size) {
                 g.begin_item(l);
                 let [bi, _] = g.global_id(l);
@@ -600,7 +614,6 @@ pub fn upscale_border_gpu(
                     // Single downscaled column: no pair to interpolate —
                     // replicate the one value across both rows, exactly as
                     // the CPU reference does.
-                    n_repl += 1;
                     let v = g.load(&down, src_row);
                     for x in 0..w {
                         g.store(&upv, dst_row * ws + x, v);
@@ -608,7 +621,6 @@ pub fn upscale_border_gpu(
                     }
                     continue;
                 }
-                n += 1;
                 let a = g.load(&down, src_row * wd + bi);
                 let b = g.load(&down, src_row * wd + bi + 1);
                 let mut vals = [0.0f32; SCALE];
@@ -624,7 +636,6 @@ pub fn upscale_border_gpu(
                 }
                 if bi == 0 {
                     // Outer-left columns copy the phase-0 value.
-                    corner_events += 1;
                     for x in 0..2 {
                         g.store(&upv, dst_row * ws + x, vals[0]);
                         g.store(&upv, companion * ws + x, vals[0]);
@@ -633,7 +644,6 @@ pub fn upscale_border_gpu(
                 if bi == wd - 2 {
                     // Outer-right columns copy the value at x = w-3 (the
                     // tail phase; 3 for multiple-of-4 widths).
-                    corner_events += 1;
                     let v = vals[w + 3 - SCALE * wd];
                     for x in [w - 2, w - 1] {
                         g.store(&upv, dst_row * ws + x, v);
@@ -641,45 +651,23 @@ pub fn upscale_border_gpu(
                     }
                 }
             }
-            g.charge_n(&per_item, n);
-            g.charge_n(&replicate_item, n_repl);
-            g.divergent(corner_events);
         })?;
         times.push(t);
     }
 
     // Vertical border columns for rows 2 ..= h-3 (empty when the
     // downscaled grid has a single row: the border rows covered them).
-    for (name, src_col, dst_col) in [
-        ("upscale_border_left", 0usize, 0usize),
-        ("upscale_border_right", wd - 1, w - 2),
-    ] {
-        let n_items = (hd - 1).max(1);
-        let desc = grid1d(name, n_items, 64);
+    for (decl, src_col, dst_col) in [(left, 0usize, 0usize), (right, wd - 1, w - 2)] {
         let down = down.clone();
         let upv = up.write_view();
         let companion = if dst_col == 0 { 1 } else { w - 1 };
-        let per_item = OpCounts::ZERO.muls(8).adds(4).cmps(2).plus(&tune.idx_ops());
-        let access = upscale_border_col_access(
-            &desc,
-            down.info(),
-            up.info(),
-            wd,
-            h,
-            ws,
-            src_col,
-            dst_col,
-            companion,
-        );
-        let t = Launch::Full.dispatch(q, &desc, access, &[up], move |g| {
-            let mut n = 0u64;
+        let t = Launch::Full(decl).dispatch(q, &[up], move |g| {
             for l in items(g.group_size) {
                 g.begin_item(l);
                 let [bj, _] = g.global_id(l);
                 if bj >= hd - 1 {
                     continue;
                 }
-                n += 1;
                 let a = g.load(&down, bj * wd + src_col);
                 let b = g.load(&down, (bj + 1) * wd + src_col);
                 for ph in 0..SCALE {
@@ -692,11 +680,82 @@ pub fn upscale_border_gpu(
                     g.store(&upv, y * ws + companion, v);
                 }
             }
-            g.charge_n(&per_item, n);
         })?;
         times.push(t);
     }
     Ok(times)
+}
+
+/// The four border dispatches' declarations, in issue order (top, bottom,
+/// left, right). A row item interpolating a downscaled pair costs 8 muls,
+/// 4 adds, 2 compares and the index recipe, and the two corner items take
+/// one extra branch each; a single-column grid's one replicating item
+/// costs 2 compares and the index recipe. A column item costs what a row
+/// item does.
+pub(crate) fn upscale_border_decls(
+    down: BufRef,
+    up: BufRef,
+    w: usize,
+    h: usize,
+    ws: usize,
+    tune: KernelTuning,
+) -> [Declaration; 4] {
+    let (wd, hd) = (w.div_ceil(SCALE), h.div_ceil(SCALE));
+    let idx = tune.idx_ops();
+    let item = OpCounts::ZERO.muls(8).adds(4).cmps(2).plus(&idx);
+    let row = |name: &str, src_row: usize, dst_row: usize| {
+        let desc = grid1d(name, (wd - 1).max(1), 64);
+        let companion = if dst_row == 0 { 1 } else { h - 1 };
+        let work = if wd == 1 {
+            work_n(OpCounts::ZERO.cmps(2).plus(&idx), 1)
+        } else {
+            let mut c = work_n(item, wd as u64 - 1);
+            c.divergent_branches = 2;
+            c
+        };
+        let build = |_| {
+            upscale_border_row_access(
+                &desc,
+                down.clone(),
+                up.clone(),
+                w,
+                ws,
+                src_row,
+                dst_row,
+                companion,
+            )
+        };
+        declare(desc.clone(), Slicing::Whole, build, work)
+    };
+    let col = |name: &str, src_col: usize, dst_col: usize| {
+        let desc = grid1d(name, (hd - 1).max(1), 64);
+        let companion = if dst_col == 0 { 1 } else { w - 1 };
+        let build = |_| {
+            upscale_border_col_access(
+                &desc,
+                down.clone(),
+                up.clone(),
+                wd,
+                h,
+                ws,
+                src_col,
+                dst_col,
+                companion,
+            )
+        };
+        declare(
+            desc.clone(),
+            Slicing::Whole,
+            build,
+            work_n(item, hd as u64 - 1),
+        )
+    };
+    [
+        row("upscale_border_top", 0, 0),
+        row("upscale_border_bottom", hd - 1, h - 2),
+        col("upscale_border_left", 0, 0),
+        col("upscale_border_right", wd - 1, w - 2),
+    ]
 }
 
 /// Closed-form access summary of one horizontal border-row dispatch: item

@@ -23,47 +23,39 @@
 //!   fusion off, the pError → preliminary → overshoot chain runs
 //!   band-by-band so each band's intermediates stay cache-resident.
 //!
-//! **Charge equivalence.** Sliced dispatches merge their [`CostCounters`]
-//! into a [`SlicedDispatch`] accumulator and record *nothing*; the
-//! executor commits each kernel once per frame via
-//! [`CommandQueue::commit_sliced`], which audits and charges the merged
-//! totals. Counter merging is a sum (plus max for the occupancy fields),
-//! so any partition of a grid folds to bit-identical counters, and
-//! simulated kernel time is a pure function of those counters — the
-//! committed record is bit-identical to the monolithic one. Host, transfer
-//! and sync commands are emitted by the same shared [`GpuPipeline`]
-//! helpers at call sites with the same pending-work status, and commits
-//! are ordered to reproduce the monolithic record stream exactly (the
-//! virtual clock sums record durations in order, and floating-point
-//! addition is not associative — a reordered stream could drift by an
-//! ulp). This module therefore never calls any `charge_*` API itself
-//! (lint-enforced): all cost flows through the kernels' own per-group
-//! accounting.
+//! **Charge equivalence.** Each sliced kernel runs the slices its
+//! [`FrameProgram`] declaration lists, through a [`SlicedDispatch`] that
+//! records *nothing*; the executor commits each kernel once per frame via
+//! [`CommandQueue::commit_sliced`], which charges the declaration's
+//! counters — the same counters the monolithic schedule commits, so the
+//! record is bit-identical to the monolithic one. Host, transfer and sync
+//! commands are emitted by the same shared [`GpuPipeline`] helpers at call
+//! sites with the same pending-work status, and commits are ordered to
+//! reproduce the monolithic record stream exactly (the virtual clock sums
+//! record durations in order, and floating-point addition is not
+//! associative — a reordered stream could drift by an ulp). This module
+//! therefore never calls any `charge_*` API itself (lint-enforced).
 //!
-//! [`CostCounters`]: simgpu::cost::CostCounters
 //! [`CommandQueue::commit_sliced`]: simgpu::queue::CommandQueue::commit_sliced
 
 use imagekit::ImageF32;
-use simgpu::error::Result as SimResult;
 use simgpu::queue::{CommandQueue, SlicedDispatch};
 use simgpu::span::SpanKind;
-use simgpu::timing::KernelTime;
 
 use crate::gpu::kernels::downscale::downscale_launch;
 use crate::gpu::kernels::perror::perror_launch;
 use crate::gpu::kernels::reduction::{
-    reduction_stage1_sliced, stage1_desc, stage1_groups, ELEMS_PER_GROUP,
+    reduction_stage1_sliced, stage1_groups, stage1_name, ELEMS_PER_GROUP,
 };
 use crate::gpu::kernels::sharpen::{
     overshoot_launch, preliminary_launch, sharpness_fused_launch, sharpness_fused_vec4_launch,
 };
 use crate::gpu::kernels::sobel::{sobel_scalar_launch, sobel_vec4_launch};
-use crate::gpu::kernels::upscale::{
-    upscale_border_gpu, upscale_center_scalar_launch, upscale_center_vec4_launch,
-};
-use crate::gpu::kernels::{grid2d, KernelTuning, Launch, GROUP_2D};
+use crate::gpu::kernels::upscale::{upscale_center_scalar_launch, upscale_center_vec4_launch};
+use crate::gpu::kernels::{Launch, GROUP_2D};
 use crate::gpu::opts::OptConfig;
 use crate::gpu::pipeline::{FrameResources, GpuPipeline};
+use crate::gpu::program::FrameProgram;
 use crate::params::{device_stride, SCALE};
 
 /// Image rows covered by one work-group row of the 2-D kernels.
@@ -129,7 +121,7 @@ impl BandedStats {
 /// band ending at group row `g1` (of `gtot`) has been uploaded. One
 /// downscale group row covers 64 source rows (4 source group rows); the
 /// last band forces full coverage of the `d_groups`-row downscale grid.
-/// Shared by the banded executor and the static verifier, which must agree
+/// Shared by the banded executor and the frame program, which must agree
 /// on the slice partition exactly.
 pub(crate) fn downscale_cursor(g1: usize, gtot: usize, d_groups: usize) -> usize {
     if g1 == gtot {
@@ -143,7 +135,7 @@ pub(crate) fn downscale_cursor(g1: usize, gtot: usize, d_groups: usize) -> usize
 /// 1024-element pEdge span is complete once Sobel has written `r1` image
 /// rows of stride `ws` (band ending at group row `g1` of `gtot`; the last
 /// band forces full coverage of the `s1_total` groups). Shared by the
-/// banded executor and the static verifier.
+/// banded executor and the frame program.
 pub(crate) fn stage1_cursor(
     g1: usize,
     gtot: usize,
@@ -172,16 +164,6 @@ pub(crate) fn effective_group_rows(band_rows: usize, ws: usize, h: usize) -> usi
         .max(1)
 }
 
-/// Commits a sliced kernel, tolerating the no-op case of an accumulator
-/// that never dispatched anything because the kernel was skipped entirely.
-fn commit(
-    q: &mut CommandQueue,
-    desc: &simgpu::kernel::KernelDesc,
-    acc: SlicedDispatch,
-) -> SimResult<KernelTime> {
-    q.commit_sliced(desc, acc)
-}
-
 /// Executes one frame band-by-band. Pixels, simulated seconds and
 /// sanitizer verdicts are identical to the monolithic schedule for every
 /// `OptConfig` (test-enforced across all 64); only host wall-clock
@@ -191,6 +173,7 @@ pub(crate) fn run_frame_banded(
     pipe: &GpuPipeline,
     q: &mut CommandQueue,
     res: &mut FrameResources,
+    prog: &FrameProgram,
     orig: &ImageF32,
     mean_override: Option<f32>,
     out: &mut [f32],
@@ -198,9 +181,8 @@ pub(crate) fn run_frame_banded(
 ) -> Result<(), String> {
     let (w, h, ws) = (res.w, res.h, res.ws);
     let opts = *pipe.opts();
-    let tune = KernelTuning {
-        others: opts.others,
-    };
+    let err = |e: simgpu::error::Error| e.to_string();
+    let sliced = |name: &str| prog.kernel(name).map(SlicedDispatch::new);
     let bg = effective_group_rows(band_rows, ws, h);
     // Work-group-row extents of each grid.
     let gtot = h.div_ceil(GROUP_ROWS);
@@ -212,7 +194,13 @@ pub(crate) fn run_frame_banded(
         0
     };
     let s1_total = stage1_groups(res.ns);
+    let strategy = pipe.tuning().reduction_strategy;
     let slice_stage1 = mean_override.is_none() && opts.reduction_gpu;
+    let (center_name, sobel_name, fused_name) = if opts.vectorization {
+        ("upscale_center_vec4", "sobel_vec4", "sharpness_vec4")
+    } else {
+        ("upscale_center", "sobel", "sharpness")
+    };
 
     // ---- uploads (Section V-A), identical records -----------------------
     let ph = q.span_open(SpanKind::Phase, "upload");
@@ -225,9 +213,13 @@ pub(crate) fn run_frame_banded(
     // pEdge rows Sobel produced earlier in the same band), so slicing here
     // is purely a cache-residency choice.
     let ph = q.span_open(SpanKind::Phase, "megapass:A");
-    let mut acc_down = SlicedDispatch::new();
-    let mut acc_sobel = SlicedDispatch::new();
-    let mut acc_stage1 = SlicedDispatch::new();
+    let mut acc_down = sliced("downscale")?;
+    let mut acc_sobel = sliced(sobel_name)?;
+    let mut acc_stage1 = if slice_stage1 {
+        Some(sliced(stage1_name(strategy))?)
+    } else {
+        None
+    };
     let (mut cur_d, mut cur_s, mut cur_r) = (0usize, 0usize, 0usize);
     let mut g0 = 0usize;
     while g0 < gtot {
@@ -238,29 +230,21 @@ pub(crate) fn run_frame_banded(
         // source rows); forced to full coverage on the last band.
         let td = downscale_cursor(g1, gtot, d_groups);
         if td > cur_d {
-            downscale_launch(
-                q,
-                &main_src,
-                &res.down,
-                w,
-                h,
-                tune,
-                Launch::Slice(cur_d..td, &mut acc_down),
-            )
-            .map_err(|e| e.to_string())?;
+            let launch = Launch::Slice(cur_d..td, &mut acc_down);
+            downscale_launch(q, &main_src, &res.down, w, h, launch).map_err(err)?;
             cur_d = td;
         }
         if g1 > cur_s {
             let launch = Launch::Slice(cur_s..g1, &mut acc_sobel);
             if opts.vectorization {
-                sobel_vec4_launch(q, &padded_src, &res.pedge, w, h, ws, tune, launch)
+                sobel_vec4_launch(q, &padded_src, &res.pedge, w, h, ws, launch)
             } else {
-                sobel_scalar_launch(q, &main_src, &res.pedge, w, h, ws, tune, launch)
+                sobel_scalar_launch(q, &main_src, &res.pedge, w, h, ws, launch)
             }
-            .map_err(|e| e.to_string())?;
+            .map_err(err)?;
             cur_s = g1;
         }
-        if slice_stage1 {
+        if let Some(acc) = &mut acc_stage1 {
             // Stage-1 group g reads pEdge elements [1024g, 1024(g+1)):
             // valid once Sobel has written the rows covering them.
             let tr = stage1_cursor(g1, gtot, r1, ws, s1_total);
@@ -269,16 +253,9 @@ pub(crate) fn run_frame_banded(
                     .partials
                     .as_ref()
                     .expect("gpu reduction allocates partials");
-                reduction_stage1_sliced(
-                    q,
-                    &res.pedge.view(),
-                    res.ns,
-                    partials,
-                    pipe.tuning().reduction_strategy,
-                    cur_r..tr,
-                    &mut acc_stage1,
-                )
-                .map_err(|e| e.to_string())?;
+                let pedge = res.pedge.view();
+                reduction_stage1_sliced(q, &pedge, res.ns, partials, strategy, cur_r..tr, acc)
+                    .map_err(err)?;
                 cur_r = tr;
             }
         }
@@ -289,13 +266,12 @@ pub(crate) fn run_frame_banded(
 
     // ---- commit downscale, then the border (Section V-E) ----------------
     let ph = q.span_open(SpanKind::Phase, "downscale");
-    commit(q, &grid2d("downscale", res.w4, res.h4), acc_down).map_err(|e| e.to_string())?;
+    q.commit_sliced(acc_down).map_err(err)?;
     pipe.sync(q);
     q.span_close(ph);
     let ph = q.span_open(SpanKind::Phase, "upscale");
     if pipe.gpu_border_enabled(w) {
-        upscale_border_gpu(q, &res.down.view(), &res.up, w, h, ws, tune)
-            .map_err(|e| e.to_string())?;
+        pipe.gpu_border(q, res, prog)?;
         pipe.sync(q);
     } else {
         pipe.cpu_border(q, res)?;
@@ -305,54 +281,40 @@ pub(crate) fn run_frame_banded(
     // Committed *before* Sobel so the record stream — and hence the
     // order-sensitive virtual-clock sum — matches the monolithic layout.
     if has_center {
-        let mut acc_up = SlicedDispatch::new();
+        let mut acc_up = sliced(center_name)?;
+        let down = res.down.view();
         let mut g0 = 0usize;
         while g0 < u_groups {
             let g1 = (g0 + bg).min(u_groups);
             let launch = Launch::Slice(g0..g1, &mut acc_up);
             if opts.vectorization {
-                upscale_center_vec4_launch(q, &res.down.view(), &res.up, w, h, ws, tune, launch)
+                upscale_center_vec4_launch(q, &down, &res.up, w, h, ws, launch)
             } else {
-                upscale_center_scalar_launch(q, &res.down.view(), &res.up, w, h, ws, tune, launch)
+                upscale_center_scalar_launch(q, &down, &res.up, w, h, ws, launch)
             }
-            .map_err(|e| e.to_string())?;
+            .map_err(err)?;
             g0 = g1;
         }
-        let center_desc = if opts.vectorization {
-            grid2d("upscale_center_vec4", (res.w4 - 1).div_ceil(4), res.h4 - 1)
-        } else {
-            grid2d("upscale_center", res.w4 - 1, res.h4 - 1)
-        };
-        commit(q, &center_desc, acc_up).map_err(|e| e.to_string())?;
+        q.commit_sliced(acc_up).map_err(err)?;
         pipe.sync(q);
     }
     q.span_close(ph);
 
     // ---- commit Sobel ----------------------------------------------------
     let ph = q.span_open(SpanKind::Phase, "sobel");
-    let sobel_desc = if opts.vectorization {
-        grid2d("sobel_vec4", ws / 4, h)
-    } else {
-        grid2d("sobel", w, h)
-    };
-    commit(q, &sobel_desc, acc_sobel).map_err(|e| e.to_string())?;
+    q.commit_sliced(acc_sobel).map_err(err)?;
     pipe.sync(q);
     q.span_close(ph);
 
     // ---- the mean (Section V-C), resolved as the monolithic schedule ----
     let ph = q.span_open(SpanKind::Phase, "reduction");
-    let mean = match mean_override {
-        Some(m) => m,
-        None if !opts.reduction_gpu => pipe.reduction_cpu(q, res)?,
-        None => {
-            commit(
-                q,
-                &stage1_desc(res.ns, pipe.tuning().reduction_strategy),
-                acc_stage1,
-            )
-            .map_err(|e| e.to_string())?;
+    let mean = match (mean_override, acc_stage1) {
+        (Some(m), _) => m,
+        (None, None) => pipe.reduction_cpu(q, res)?,
+        (None, Some(acc)) => {
+            q.commit_sliced(acc).map_err(err)?;
             pipe.sync(q);
-            pipe.reduction_stage2_phase(q, res)?
+            pipe.reduction_stage2_phase(q, res, prog)?
         }
     };
     q.span_close(ph);
@@ -363,90 +325,90 @@ pub(crate) fn run_frame_banded(
     // pError → preliminary → overshoot chain per band keeps each band's
     // intermediates cache-resident.
     let ph = q.span_open(SpanKind::Phase, "megapass:B");
-    let mut acc_tail = SlicedDispatch::new();
-    let mut acc_perr = SlicedDispatch::new();
-    let mut acc_prelim = SlicedDispatch::new();
+    let (up, pedge) = (res.up.view(), res.pedge.view());
+    let params = *pipe.params();
+    let mut accs = if opts.kernel_fusion {
+        vec![sliced(fused_name)?]
+    } else {
+        vec![
+            sliced("perror")?,
+            sliced("preliminary")?,
+            sliced("overshoot")?,
+        ]
+    };
     let mut g0 = 0usize;
     while g0 < gtot {
         let band = q.span_open(SpanKind::Band, "band");
         let g1 = (g0 + bg).min(gtot);
-        if opts.kernel_fusion {
-            let launch = Launch::Slice(g0..g1, &mut acc_tail);
-            if opts.vectorization {
-                sharpness_fused_vec4_launch(
-                    q,
-                    &padded_src,
-                    &res.up.view(),
-                    &res.pedge.view(),
-                    &res.finalbuf,
-                    mean,
-                    *pipe.params(),
-                    w,
-                    h,
-                    ws,
-                    tune,
-                    launch,
-                )
-            } else {
-                sharpness_fused_launch(
-                    q,
-                    &padded_src,
-                    &res.up.view(),
-                    &res.pedge.view(),
-                    &res.finalbuf,
-                    mean,
-                    *pipe.params(),
-                    w,
-                    h,
-                    ws,
-                    tune,
-                    launch,
-                )
+        let fin = &res.finalbuf;
+        match &mut accs[..] {
+            [acc] => {
+                let launch = Launch::Slice(g0..g1, acc);
+                if opts.vectorization {
+                    sharpness_fused_vec4_launch(
+                        q,
+                        &padded_src,
+                        &up,
+                        &pedge,
+                        fin,
+                        mean,
+                        params,
+                        w,
+                        h,
+                        ws,
+                        launch,
+                    )
+                } else {
+                    sharpness_fused_launch(
+                        q,
+                        &padded_src,
+                        &up,
+                        &pedge,
+                        fin,
+                        mean,
+                        params,
+                        w,
+                        h,
+                        ws,
+                        launch,
+                    )
+                }
+                .map_err(err)?;
             }
-            .map_err(|e| e.to_string())?;
-        } else {
-            let perr = res.perror.as_ref().expect("unfused path allocates pError");
-            let prelim = res.prelim.as_ref().expect("unfused path allocates prelim");
-            perror_launch(
-                q,
-                &main_src,
-                &res.up.view(),
-                perr,
-                w,
-                h,
-                ws,
-                tune,
-                Launch::Slice(g0..g1, &mut acc_perr),
-            )
-            .map_err(|e| e.to_string())?;
-            preliminary_launch(
-                q,
-                &res.up.view(),
-                &res.pedge.view(),
-                &perr.view(),
-                prelim,
-                mean,
-                *pipe.params(),
-                w,
-                h,
-                ws,
-                tune,
-                Launch::Slice(g0..g1, &mut acc_prelim),
-            )
-            .map_err(|e| e.to_string())?;
-            overshoot_launch(
-                q,
-                &padded_src,
-                &prelim.view(),
-                &res.finalbuf,
-                w,
-                h,
-                ws,
-                *pipe.params(),
-                tune,
-                Launch::Slice(g0..g1, &mut acc_tail),
-            )
-            .map_err(|e| e.to_string())?;
+            [acc_perr, acc_prelim, acc_over] => {
+                let perr = res.perror.as_ref().expect("unfused path allocates pError");
+                let prelim = res.prelim.as_ref().expect("unfused path allocates prelim");
+                let launch = Launch::Slice(g0..g1, acc_perr);
+                perror_launch(q, &main_src, &up, perr, w, h, ws, launch).map_err(err)?;
+                preliminary_launch(
+                    q,
+                    &up,
+                    &pedge,
+                    &perr.view(),
+                    prelim,
+                    mean,
+                    params,
+                    w,
+                    h,
+                    ws,
+                    Launch::Slice(g0..g1, acc_prelim),
+                )
+                .map_err(err)?;
+                let launch = Launch::Slice(g0..g1, acc_over);
+                overshoot_launch(
+                    q,
+                    &padded_src,
+                    &prelim.view(),
+                    fin,
+                    w,
+                    h,
+                    ws,
+                    params,
+                    launch,
+                )
+                .map_err(err)?;
+            }
+            _ => unreachable!("the tail is one fused kernel or three unfused ones"),
         }
         q.span_close(band);
         g0 = g1;
@@ -455,20 +417,8 @@ pub(crate) fn run_frame_banded(
 
     // ---- commit the tail, in the monolithic record layout ---------------
     let ph = q.span_open(SpanKind::Phase, "sharpen");
-    if opts.kernel_fusion {
-        let tail_desc = if opts.vectorization {
-            grid2d("sharpness_vec4", ws / 4, h)
-        } else {
-            grid2d("sharpness", w, h)
-        };
-        commit(q, &tail_desc, acc_tail).map_err(|e| e.to_string())?;
-        pipe.sync(q);
-    } else {
-        commit(q, &grid2d("perror", w, h), acc_perr).map_err(|e| e.to_string())?;
-        pipe.sync(q);
-        commit(q, &grid2d("preliminary", w, h), acc_prelim).map_err(|e| e.to_string())?;
-        pipe.sync(q);
-        commit(q, &grid2d("overshoot", w, h), acc_tail).map_err(|e| e.to_string())?;
+    for acc in accs {
+        q.commit_sliced(acc).map_err(err)?;
         pipe.sync(q);
     }
     q.span_close(ph);

@@ -12,31 +12,33 @@
 //! [`crate::cpu::CpuPipeline`] (bit-exactly when the reduction runs on the
 //! CPU; within float-summation tolerance when the tree reduction runs on
 //! the device), while the queue's virtual clock produces the simulated
-//! time the figures report.
+//! time the figures report. Every kernel it dispatches runs under the
+//! declaration of the frame's [`FrameProgram`], whose counters are what
+//! the queue commits.
 
 use imagekit::ImageF32;
 use simgpu::buffer::Buffer;
 use simgpu::context::Context;
-use simgpu::cost::CostCounters;
 use simgpu::queue::{CommandKind, CommandQueue};
 use simgpu::span::SpanKind;
 use simgpu::timing::host_memcpy_time;
 
 use crate::cpu::stages as cpu_stages;
-use crate::gpu::kernels::downscale::downscale_kernel;
-use crate::gpu::kernels::perror::perror_kernel;
+use crate::gpu::kernels::downscale::downscale_launch;
+use crate::gpu::kernels::perror::perror_launch;
 use crate::gpu::kernels::reduction::{
-    reduction_stage1_kernel, reduction_stage2_kernel, stage1_groups,
+    reduction_stage1_launch, reduction_stage2_launch, stage1_groups, stage1_name,
 };
 use crate::gpu::kernels::sharpen::{
-    overshoot_kernel, preliminary_kernel, sharpness_fused_kernel, sharpness_fused_vec4_kernel,
+    overshoot_launch, preliminary_launch, sharpness_fused_launch, sharpness_fused_vec4_launch,
 };
-use crate::gpu::kernels::sobel::{sobel_scalar_kernel, sobel_vec4_kernel};
+use crate::gpu::kernels::sobel::{sobel_scalar_launch, sobel_vec4_launch};
 use crate::gpu::kernels::upscale::{
-    upscale_border_gpu, upscale_center_scalar_kernel, upscale_center_vec4_kernel,
+    upscale_border_launch, upscale_center_scalar_launch, upscale_center_vec4_launch,
 };
-use crate::gpu::kernels::{KernelTuning, SrcImage};
+use crate::gpu::kernels::{Launch, SrcImage};
 use crate::gpu::opts::{OptConfig, Tuning};
+use crate::gpu::program::{border_host_counters, host_reduction_counters, FrameProgram};
 use crate::params::{check_shape, device_stride, SharpnessParams, SCALE};
 use crate::report::{RunReport, StageRecord};
 
@@ -171,9 +173,10 @@ impl GpuPipeline {
         mean_override: Option<f32>,
     ) -> Result<RunReport, String> {
         let mut res = FrameResources::new(self, orig.width(), orig.height())?;
+        let prog = self.program(res.w, res.h)?;
         let mut q = self.ctx.queue();
         let mut out = vec![0.0f32; res.n];
-        self.run_frame(&mut q, &mut res, orig, mean_override, &mut out)?;
+        self.run_frame(&mut q, &mut res, &prog, orig, mean_override, &mut out)?;
         Ok(report_from_queue(&q, orig.width(), orig.height(), out))
     }
 
@@ -192,9 +195,10 @@ impl GpuPipeline {
         orig: &ImageF32,
     ) -> Result<(RunReport, crate::telemetry::FrameTelemetry), String> {
         let mut res = FrameResources::new(self, orig.width(), orig.height())?;
+        let prog = self.program(res.w, res.h)?;
         let mut q = self.ctx.queue();
         let mut out = vec![0.0f32; res.n];
-        self.run_frame(&mut q, &mut res, orig, None, &mut out)?;
+        self.run_frame(&mut q, &mut res, &prog, orig, None, &mut out)?;
         let mut tel = crate::telemetry::FrameTelemetry::collect(
             q.records(),
             q.device(),
@@ -213,21 +217,29 @@ impl GpuPipeline {
     /// On unsupported shapes or invalid parameters.
     pub fn prepared(&self, width: usize, height: usize) -> Result<PipelinePlan, String> {
         let res = FrameResources::new(self, width, height)?;
+        let prog = self.program(width, height)?;
         let q = self.ctx.queue();
         Ok(PipelinePlan {
             pipe: self.clone(),
             q,
             res,
+            prog,
         })
     }
 
-    /// Executes one frame against pre-allocated resources, recording
-    /// commands on `q` (which the caller has reset) and writing the
-    /// sharpened pixels into `out`, under the configured [`Schedule`].
+    /// The frame program this pipeline executes for `w`×`h` frames.
+    fn program(&self, w: usize, h: usize) -> Result<FrameProgram, String> {
+        FrameProgram::build(w, h, &self.opts, &self.tuning, self.schedule)
+    }
+
+    /// Executes one frame of `prog` against pre-allocated resources,
+    /// recording commands on `q` (which the caller has reset) and writing
+    /// the sharpened pixels into `out`, under the configured [`Schedule`].
     fn run_frame(
         &self,
         q: &mut CommandQueue,
         res: &mut FrameResources,
+        prog: &FrameProgram,
         orig: &ImageF32,
         mean_override: Option<f32>,
         out: &mut [f32],
@@ -245,10 +257,19 @@ impl GpuPipeline {
         // make open/close no-ops, so the execution path is shared.
         let frame_span = q.span_open(SpanKind::Frame, "frame");
         let result = match self.schedule {
-            Schedule::Monolithic => self.run_frame_monolithic(q, res, orig, mean_override, out),
-            Schedule::Banded(rows) => {
-                crate::gpu::megapass::run_frame_banded(self, q, res, orig, mean_override, out, rows)
+            Schedule::Monolithic => {
+                self.run_frame_monolithic(q, res, prog, orig, mean_override, out)
             }
+            Schedule::Banded(rows) => crate::gpu::megapass::run_frame_banded(
+                self,
+                q,
+                res,
+                prog,
+                orig,
+                mean_override,
+                out,
+                rows,
+            ),
         };
         q.span_close(frame_span);
         result
@@ -309,15 +330,16 @@ impl GpuPipeline {
         &self,
         q: &mut CommandQueue,
         res: &mut FrameResources,
+        prog: &FrameProgram,
         orig: &ImageF32,
         mean_override: Option<f32>,
         out: &mut [f32],
     ) -> Result<(), String> {
         let (w, h) = (res.w, res.h);
         let ws = res.ws;
-        let tune = KernelTuning {
-            others: self.opts.others,
-        };
+        let opts = &self.opts;
+        let full = |name: &str| prog.kernel(name).map(Launch::Full);
+        let err = |e: simgpu::error::Error| e.to_string();
 
         // ---- uploads (Section V-A) ------------------------------------
         let ph = q.span_open(SpanKind::Phase, "upload");
@@ -327,15 +349,14 @@ impl GpuPipeline {
 
         // ---- downscale --------------------------------------------------
         let ph = q.span_open(SpanKind::Phase, "downscale");
-        downscale_kernel(q, &main_src, &res.down, w, h, tune).map_err(|e| e.to_string())?;
+        downscale_launch(q, &main_src, &res.down, w, h, full("downscale")?).map_err(err)?;
         self.sync(q);
         q.span_close(ph);
 
         // ---- upscale: border (Section V-E) ------------------------------
         let ph = q.span_open(SpanKind::Phase, "upscale");
         if self.gpu_border_enabled(w) {
-            upscale_border_gpu(q, &res.down.view(), &res.up, w, h, ws, tune)
-                .map_err(|e| e.to_string())?;
+            self.gpu_border(q, res, prog)?;
             self.sync(q);
         } else {
             self.cpu_border(q, res)?;
@@ -345,24 +366,27 @@ impl GpuPipeline {
         // Images below 5 pixels on an axis have no interior 4×4 blocks —
         // the border pass above already covered every pixel.
         if res.w4 > 1 && res.h4 > 1 {
-            if self.opts.vectorization {
-                upscale_center_vec4_kernel(q, &res.down.view(), &res.up, w, h, ws, tune)
+            let down = res.down.view();
+            if opts.vectorization {
+                let launch = full("upscale_center_vec4")?;
+                upscale_center_vec4_launch(q, &down, &res.up, w, h, ws, launch)
             } else {
-                upscale_center_scalar_kernel(q, &res.down.view(), &res.up, w, h, ws, tune)
+                let launch = full("upscale_center")?;
+                upscale_center_scalar_launch(q, &down, &res.up, w, h, ws, launch)
             }
-            .map_err(|e| e.to_string())?;
+            .map_err(err)?;
             self.sync(q);
         }
         q.span_close(ph);
 
         // ---- Sobel --------------------------------------------------------
         let ph = q.span_open(SpanKind::Phase, "sobel");
-        if self.opts.vectorization {
-            sobel_vec4_kernel(q, &padded_src, &res.pedge, w, h, ws, tune)
+        if opts.vectorization {
+            sobel_vec4_launch(q, &padded_src, &res.pedge, w, h, ws, full("sobel_vec4")?)
         } else {
-            sobel_scalar_kernel(q, &main_src, &res.pedge, w, h, ws, tune)
+            sobel_scalar_launch(q, &main_src, &res.pedge, w, h, ws, full("sobel")?)
         }
-        .map_err(|e| e.to_string())?;
+        .map_err(err)?;
         self.sync(q);
         q.span_close(ph);
 
@@ -370,66 +394,70 @@ impl GpuPipeline {
         let ph = q.span_open(SpanKind::Phase, "reduction");
         let mean = match mean_override {
             Some(m) => m,
-            None => self.reduction(q, res)?,
+            None => self.reduction(q, res, prog)?,
         };
         q.span_close(ph);
 
         // ---- sharpening tail (Section V-B) --------------------------------
         let ph = q.span_open(SpanKind::Phase, "sharpen");
-        if self.opts.kernel_fusion {
-            if self.opts.vectorization {
-                sharpness_fused_vec4_kernel(
+        let (up, pedge) = (res.up.view(), res.pedge.view());
+        let params = self.params;
+        if opts.kernel_fusion {
+            let fin = &res.finalbuf;
+            if opts.vectorization {
+                let launch = full("sharpness_vec4")?;
+                sharpness_fused_vec4_launch(
                     q,
                     &padded_src,
-                    &res.up.view(),
-                    &res.pedge.view(),
-                    &res.finalbuf,
+                    &up,
+                    &pedge,
+                    fin,
                     mean,
-                    self.params,
+                    params,
                     w,
                     h,
                     ws,
-                    tune,
+                    launch,
                 )
             } else {
-                sharpness_fused_kernel(
+                let launch = full("sharpness")?;
+                sharpness_fused_launch(
                     q,
                     &padded_src,
-                    &res.up.view(),
-                    &res.pedge.view(),
-                    &res.finalbuf,
+                    &up,
+                    &pedge,
+                    fin,
                     mean,
-                    self.params,
+                    params,
                     w,
                     h,
                     ws,
-                    tune,
+                    launch,
                 )
             }
-            .map_err(|e| e.to_string())?;
+            .map_err(err)?;
             self.sync(q);
         } else {
             let perr = res.perror.as_ref().expect("unfused path allocates pError");
-            perror_kernel(q, &main_src, &res.up.view(), perr, w, h, ws, tune)
-                .map_err(|e| e.to_string())?;
+            perror_launch(q, &main_src, &up, perr, w, h, ws, full("perror")?).map_err(err)?;
             self.sync(q);
             let prelim = res.prelim.as_ref().expect("unfused path allocates prelim");
-            preliminary_kernel(
+            preliminary_launch(
                 q,
-                &res.up.view(),
-                &res.pedge.view(),
+                &up,
+                &pedge,
                 &perr.view(),
                 prelim,
                 mean,
-                self.params,
+                params,
                 w,
                 h,
                 ws,
-                tune,
+                full("preliminary")?,
             )
-            .map_err(|e| e.to_string())?;
+            .map_err(err)?;
             self.sync(q);
-            overshoot_kernel(
+            overshoot_launch(
                 q,
                 &padded_src,
                 &prelim.view(),
@@ -437,10 +465,10 @@ impl GpuPipeline {
                 w,
                 h,
                 ws,
-                self.params,
-                tune,
+                params,
+                full("overshoot")?,
             )
-            .map_err(|e| e.to_string())?;
+            .map_err(err)?;
             self.sync(q);
         }
         q.span_close(ph);
@@ -450,6 +478,25 @@ impl GpuPipeline {
         let r = self.readback_final(q, res, out);
         q.span_close(ph);
         r
+    }
+
+    /// The four device border kernels under the program's declarations.
+    pub(crate) fn gpu_border(
+        &self,
+        q: &mut CommandQueue,
+        res: &FrameResources,
+        prog: &FrameProgram,
+    ) -> Result<(), String> {
+        let decls = [
+            prog.kernel("upscale_border_top")?,
+            prog.kernel("upscale_border_bottom")?,
+            prog.kernel("upscale_border_left")?,
+            prog.kernel("upscale_border_right")?,
+        ];
+        let down = res.down.view();
+        upscale_border_launch(q, decls, &down, &res.up, res.w, res.h, res.ws)
+            .map_err(|e| e.to_string())?;
+        Ok(())
     }
 
     /// The end-of-frame `finish` plus the final-image readback in the
@@ -492,8 +539,8 @@ impl GpuPipeline {
         // Only the border cells of the scratch are written here and only
         // they are read below, so stale interior values from a previous
         // frame are harmless.
-        let counters = cpu_stages::upscale_border_into(&res.down_host, &mut res.up_host);
-        q.charge_host("host:upscale_border", &counters);
+        cpu_stages::upscale_border_into(&res.down_host, &mut res.up_host);
+        q.charge_host("host:upscale_border", &border_host_counters(w, h));
         // Write exactly the border region into the device buffer. The
         // row/column lists are deduplicated for tiny shapes (h = 3 makes
         // row 1 both "second" and "second-to-last").
@@ -537,7 +584,12 @@ impl GpuPipeline {
 
     /// Reduction of the pEdge matrix to its mean, on CPU or GPU per the
     /// config; returns the mean used by the strength curve.
-    fn reduction(&self, q: &mut CommandQueue, res: &mut FrameResources) -> Result<f32, String> {
+    fn reduction(
+        &self,
+        q: &mut CommandQueue,
+        res: &mut FrameResources,
+        prog: &FrameProgram,
+    ) -> Result<f32, String> {
         if !self.opts.reduction_gpu {
             return self.reduction_cpu(q, res);
         }
@@ -545,16 +597,12 @@ impl GpuPipeline {
             .partials
             .as_ref()
             .expect("gpu reduction allocates partials");
-        reduction_stage1_kernel(
-            q,
-            &res.pedge.view(),
-            res.ns,
-            partials,
-            self.tuning.reduction_strategy,
-        )
-        .map_err(|e| e.to_string())?;
+        let strategy = self.tuning.reduction_strategy;
+        let decl = prog.kernel(stage1_name(strategy))?;
+        reduction_stage1_launch(q, decl, &res.pedge.view(), 0, res.ns, partials, strategy)
+            .map_err(|e| e.to_string())?;
         self.sync(q);
-        self.reduction_stage2_phase(q, res)
+        self.reduction_stage2_phase(q, res, prog)
     }
 
     /// CPU-side reduction: the whole pEdge matrix crosses the bus, then a
@@ -574,10 +622,7 @@ impl GpuPipeline {
         // f64 accumulation, identical to the CPU reference stage, so
         // the base GPU pipeline reproduces the CPU output bit-exactly.
         let sum: f64 = host.iter().map(|&v| f64::from(v)).sum();
-        let mut c = CostCounters::new();
-        c.charge_ops_n(&simgpu::cost::OpCounts::ZERO.adds(1), ns as u64);
-        c.global_read_scalar = ns as u64 * 4;
-        q.charge_host("host:reduction", &c);
+        q.charge_host("host:reduction", &host_reduction_counters(ns));
         Ok((sum / n as f64) as f32)
     }
 
@@ -588,6 +633,7 @@ impl GpuPipeline {
         &self,
         q: &mut CommandQueue,
         res: &mut FrameResources,
+        prog: &FrameProgram,
     ) -> Result<f32, String> {
         let n = res.n;
         let groups = stage1_groups(res.ns);
@@ -601,7 +647,8 @@ impl GpuPipeline {
                 .reduction_out
                 .as_ref()
                 .expect("gpu stage2 allocates reduction_out");
-            reduction_stage2_kernel(q, &partials.view(), groups, result)
+            let decl = prog.kernel("reduction_stage2")?;
+            reduction_stage2_launch(q, decl, &partials.view(), groups, result)
                 .map_err(|e| e.to_string())?;
             self.sync(q);
             let mut one = [0.0f32];
@@ -611,10 +658,7 @@ impl GpuPipeline {
             // Stage 2 on the host: small partial array crosses the bus.
             let part = &mut res.reduction_host[..groups];
             self.read_back(q, partials, part)?;
-            let mut c = CostCounters::new();
-            c.charge_ops_n(&simgpu::cost::OpCounts::ZERO.adds(1), groups as u64);
-            c.global_read_scalar = groups as u64 * 4;
-            q.charge_host("host:reduction_stage2", &c);
+            q.charge_host("host:reduction_stage2", &host_reduction_counters(groups));
             let mut sum = 0.0f32;
             for &v in part.iter() {
                 sum += v;
@@ -760,6 +804,7 @@ pub struct PipelinePlan {
     pipe: GpuPipeline,
     q: CommandQueue,
     res: FrameResources,
+    prog: FrameProgram,
 }
 
 impl PipelinePlan {
@@ -822,7 +867,7 @@ impl PipelinePlan {
         }
         self.q.reset();
         self.pipe
-            .run_frame(&mut self.q, &mut self.res, orig, mean, out)?;
+            .run_frame(&mut self.q, &mut self.res, &self.prog, orig, mean, out)?;
         let mut c = crate::gpu::batch::FrameComponents {
             upload_s: 0.0,
             compute_s: 0.0,
@@ -840,15 +885,15 @@ impl PipelinePlan {
 
     /// The command records of the most recently executed frame (empty
     /// before the first run). Unlike [`RunReport::stages`], these keep
-    /// their [`CostCounters`], so efficiency telemetry can be derived.
+    /// their [`CostCounters`](simgpu::cost::CostCounters), so efficiency
+    /// telemetry can be derived.
     pub fn records(&self) -> &[simgpu::queue::CommandRecord] {
         self.q.records()
     }
 
-    /// Drains the access-summary log of the most recently executed frame,
-    /// in commit order. Populated only when the context was built with
-    /// [`Context::with_access_required`]; the static/dynamic agreement
-    /// tests compare this against
+    /// Drains the access-summary log of the most recently executed frame:
+    /// every summary the queue committed, in commit order. The
+    /// static/dynamic agreement tests compare this against
     /// [`crate::gpu::verify::enumerate_access`].
     pub fn take_access_log(&mut self) -> Vec<simgpu::access::AccessSummary> {
         self.q.take_access_log()

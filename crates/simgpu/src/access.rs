@@ -1,10 +1,11 @@
 //! Declarative per-dispatch access summaries and their static checker.
 //!
-//! Every kernel dispatch can declare, *before it runs*, a compact affine
-//! description of everything it will touch: per buffer, a set of
-//! [`AccessWindow`]s (base index + contiguous row extent + two repeat
-//! axes), plus the exact bytes it charges the cost model split by
-//! scalar/vector class. [`verify_summary`] then proves in closed form,
+//! Every kernel dispatch declares, *before it runs*, a [`Declaration`]:
+//! its grid, its complete closed-form [`CostCounters`], and per slice a
+//! compact affine [`AccessSummary`] of everything it will touch — per
+//! buffer a set of [`AccessWindow`]s (base index + contiguous row extent +
+//! two repeat axes), plus the exact bytes it charges the cost model split
+//! by scalar/vector class. [`verify_summary`] then proves in closed form,
 //! without executing the kernel:
 //!
 //! * **(a) bounds** — every window stays inside its buffer, ragged
@@ -21,23 +22,24 @@
 //!   [`verify_partition`] proves the slices exactly tile the grid: no gap,
 //!   no overlap.
 //!
-//! Summaries cannot rot. After execution the queue compares the summary's
-//! charged bytes against the counters the kernel actually charged
-//! ([`AccessSummary::charged_matches`]), and sanitized runs additionally
-//! compare the declared window bytes against the per-element traffic
-//! observed by the shadow sanitizer — any drift is reported as a
-//! [`crate::sanitize::Violation::SummaryDrift`].
+//! The declaration is the only source of a dispatch's cost: the queue
+//! commits its counters, and kernels count nothing themselves. Sanitized
+//! runs audit it against execution — the declared window bytes against
+//! the per-element traffic the shadow observes, and the declared global
+//! bytes, barriers and local-memory bytes against what the work-groups
+//! actually did — so any drift is reported as a
+//! [`crate::sanitize::Violation`].
 //!
 //! A window's "vector width" is not separate metadata: vectorized access
-//! shows up as charged bytes in the vector class ([`ChargedBytes`]), which
-//! the post-run counter comparison checks per class, while the window
-//! geometry describes the element footprint that both bounds and the
-//! sanitizer's shadow traffic are defined over.
+//! shows up as charged bytes in the vector class ([`ChargedBytes`]), while
+//! the window geometry describes the element footprint that both bounds
+//! and the sanitizer's shadow traffic are defined over.
 
 use std::fmt;
 use std::ops::Range;
 
 use crate::cost::CostCounters;
+use crate::kernel::KernelDesc;
 
 /// Whether an [`AccessWindow`] is loaded or stored by the dispatch.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -237,8 +239,7 @@ impl AccessSummary {
         }
     }
 
-    /// Mirrors [`crate::kernel::GroupCtx::charge_global_n`]: per-item bytes
-    /// by class, times `n` items.
+    /// Charges global traffic: per-item bytes by class, times `n` items.
     pub fn charge_global_n(
         &mut self,
         scalar_read: u64,
@@ -290,43 +291,83 @@ impl AccessSummary {
             charged as f64 / declared as f64 * 1.01
         }
     }
+}
 
-    /// Checks the summary's charged bytes against the counters the kernel
-    /// actually charged, per class. This is the anti-rot half of the
-    /// accounting proof: the closed-form charge formula in the summary
-    /// must reproduce the kernel's real `charge_global_n` calls exactly.
-    pub fn charged_matches(&self, counters: &CostCounters) -> Result<(), AccessError> {
-        let pairs = [
-            (
-                "read-scalar",
-                self.charged.read_scalar,
-                counters.global_read_scalar,
-            ),
-            (
-                "read-vector",
-                self.charged.read_vector,
-                counters.global_read_vector,
-            ),
-            (
-                "write-scalar",
-                self.charged.write_scalar,
-                counters.global_write_scalar,
-            ),
-            (
-                "write-vector",
-                self.charged.write_vector,
-                counters.global_write_vector,
-            ),
-        ];
-        for (class, summary, counted) in pairs {
-            if summary != counted {
-                return Err(AccessError::ChargeDrift {
-                    kernel: self.kernel.clone(),
-                    class,
-                    summary,
-                    counted,
+/// Everything one kernel dispatch declares before it runs: the grid, one
+/// [`AccessSummary`] per executed slice (a single full-grid slice unless
+/// the dispatch is banded), and the complete closed-form [`CostCounters`]
+/// the queue commits for it.
+#[derive(Debug, Clone, PartialEq)]
+pub struct Declaration {
+    /// The dispatch descriptor (name, grid geometry).
+    pub desc: KernelDesc,
+    /// Per-slice summaries, in execution order.
+    pub slices: Vec<AccessSummary>,
+    /// The whole dispatch's cost counters.
+    pub counters: CostCounters,
+}
+
+impl Declaration {
+    /// Assembles a declaration. `work` carries the dispatch's arithmetic,
+    /// local-memory, barrier and divergence counts; the occupancy fields
+    /// follow from `desc` and the global traffic is the sum of the slices'
+    /// charged bytes, so neither can disagree with the summaries.
+    pub fn new(desc: KernelDesc, slices: Vec<AccessSummary>, work: CostCounters) -> Self {
+        let mut counters = work;
+        counters.groups = desc.total_groups() as u64;
+        counters.items = counters.groups * desc.group_lanes() as u64;
+        counters.group_lanes = desc.group_lanes() as u64;
+        for s in &slices {
+            counters.global_read_scalar += s.charged.read_scalar;
+            counters.global_read_vector += s.charged.read_vector;
+            counters.global_write_scalar += s.charged.write_scalar;
+            counters.global_write_vector += s.charged.write_vector;
+        }
+        Declaration {
+            desc,
+            slices,
+            counters,
+        }
+    }
+
+    /// The declared read-overcharge bound of the whole dispatch (the
+    /// largest slice ratio; every slice carries the dispatch's ratio).
+    pub fn read_ratio(&self) -> f64 {
+        self.slices.iter().fold(1.0f64, |m, s| m.max(s.read_ratio))
+    }
+
+    /// Proves the declaration sound: each slice names this grid and passes
+    /// [`verify_summary`], the slices exactly partition the grid
+    /// ([`verify_partition`]), and the merged charged reads respect the
+    /// overcharge bound (a single slice may charge reads whose halo it
+    /// does not declare; the whole dispatch must still balance).
+    pub fn verify(&self) -> Result<(), AccessError> {
+        let total = self.desc.total_groups();
+        for s in &self.slices {
+            if s.kernel != self.desc.name || s.total_groups != total {
+                return Err(AccessError::GridMismatch {
+                    kernel: self.desc.name.clone(),
+                    detail: format!(
+                        "slice declares kernel `{}` over a {}-group grid, dispatch is `{}` \
+                         over {total}",
+                        s.kernel, s.total_groups, self.desc.name
+                    ),
                 });
             }
+            verify_summary(s)?;
+        }
+        let ranges: Vec<Range<usize>> = self.slices.iter().map(|s| s.groups.clone()).collect();
+        verify_partition(&self.desc.name, total, &ranges)?;
+        let declared_r: u64 = self.slices.iter().map(|s| s.declared_read_bytes()).sum();
+        let charged_r: u64 = self.slices.iter().map(|s| s.charged.reads()).sum();
+        let ratio = self.read_ratio();
+        if charged_r != declared_r && charged_r as f64 > declared_r as f64 * ratio {
+            return Err(AccessError::RatioExceeded {
+                kernel: self.desc.name.clone(),
+                declared: declared_r,
+                charged: charged_r,
+                ratio_bits: ratio.to_bits(),
+            });
         }
         Ok(())
     }
@@ -396,12 +437,6 @@ pub enum AccessError {
         /// Human-readable description of the gap or overlap.
         detail: String,
     },
-    /// A dispatch ran without declaring a summary while declarations are
-    /// required.
-    Undeclared {
-        /// Kernel that was dispatched.
-        kernel: String,
-    },
     /// The summary's grid geometry does not match the dispatch it was
     /// declared for.
     GridMismatch {
@@ -409,18 +444,6 @@ pub enum AccessError {
         kernel: String,
         /// Human-readable description of the mismatch.
         detail: String,
-    },
-    /// Post-run check: the summary's charged bytes differ from what the
-    /// kernel actually charged (the closed-form formula rotted).
-    ChargeDrift {
-        /// Kernel that was dispatched.
-        kernel: String,
-        /// Counter class that drifted.
-        class: &'static str,
-        /// Bytes the summary declared as charged.
-        summary: u64,
-        /// Bytes the kernel actually charged.
-        counted: u64,
     },
 }
 
@@ -479,24 +502,9 @@ impl fmt::Display for AccessError {
                 f,
                 "sliced dispatch of kernel `{kernel}` does not partition the grid: {detail}"
             ),
-            AccessError::Undeclared { kernel } => write!(
-                f,
-                "kernel `{kernel}` dispatched without an access summary while declarations \
-                 are required"
-            ),
             AccessError::GridMismatch { kernel, detail } => write!(
                 f,
                 "access summary for kernel `{kernel}` does not match its dispatch: {detail}"
-            ),
-            AccessError::ChargeDrift {
-                kernel,
-                class,
-                summary,
-                counted,
-            } => write!(
-                f,
-                "access summary for kernel `{kernel}`: summary says {summary} charged \
-                 {class} bytes, kernel actually charged {counted}"
             ),
         }
     }
@@ -552,9 +560,8 @@ fn pairwise_disjoint(a: &AccessWindow, b: &AccessWindow) -> bool {
 
 /// Statically checks one summary: bounds (a), write disjointness (b), and
 /// accounting (c). The overcharge-ratio bound of (c) applies to full-grid
-/// summaries; for slices it is enforced on the merged totals at
-/// [`crate::queue::CommandQueue::commit_sliced`], mirroring how the
-/// dynamic audit works (a slice covering only border rows may observe zero
+/// summaries; for slices it is enforced on the merged totals by
+/// [`Declaration::verify`], mirroring how the dynamic audit works (a slice covering only border rows may observe zero
 /// reads while still charging its share of the whole-dispatch bound).
 pub fn verify_summary(s: &AccessSummary) -> Result<(), AccessError> {
     if s.groups.start > s.groups.end || s.groups.end > s.total_groups {
@@ -886,25 +893,6 @@ mod tests {
         assert!(matches!(
             verify_partition("k", 10, &[0..4, 4..8]),
             Err(AccessError::CoverageGap { .. })
-        ));
-    }
-
-    #[test]
-    fn charged_matches_catches_formula_rot() {
-        let s = clean_summary();
-        let mut c = CostCounters {
-            global_read_scalar: s.charged.read_scalar,
-            global_write_scalar: s.charged.write_scalar,
-            ..CostCounters::default()
-        };
-        assert_eq!(s.charged_matches(&c), Ok(()));
-        c.global_read_scalar += 4;
-        assert!(matches!(
-            s.charged_matches(&c),
-            Err(AccessError::ChargeDrift {
-                class: "read-scalar",
-                ..
-            })
         ));
     }
 }

@@ -406,10 +406,8 @@ impl<T: Scalar> GlobalView<T> {
         self.inner.len() == 0
     }
 
-    /// Raw, *unaccounted* element read. Prefer
-    /// [`GroupCtx::load`](crate::kernel::GroupCtx::load), which charges the
-    /// cost model; this accessor exists for index arithmetic setup and
-    /// host-side checks.
+    /// Raw element read — what
+    /// [`GroupCtx::load`](crate::kernel::GroupCtx::load) does.
     #[inline]
     pub fn get_raw(&self, idx: usize) -> T {
         if let Some(sh) = &self.inner.shadow {
@@ -433,11 +431,8 @@ impl<T: Scalar> GlobalView<T> {
         unsafe { *self.ptr.add(idx) }
     }
 
-    /// Raw, *unaccounted* bulk read of `out.len()` consecutive elements
-    /// starting at `idx` — one bounds check for the whole run, so hot
-    /// kernel loops that charge their traffic explicitly (via
-    /// [`GroupCtx::charge`](crate::kernel::GroupCtx::charge) /
-    /// [`GroupCtx::charge_global_n`](crate::kernel::GroupCtx::charge_global_n))
+    /// Raw bulk read of `out.len()` consecutive elements starting at
+    /// `idx` — one bounds check for the whole run, so hot kernel loops
     /// stay vectorizable.
     #[inline]
     pub fn read_into(&self, idx: usize, out: &mut [T]) {
@@ -473,7 +468,7 @@ impl<T: Scalar> GlobalView<T> {
         }
     }
 
-    /// Raw, *unaccounted* read of four consecutive elements.
+    /// Raw read of four consecutive elements.
     #[inline]
     pub fn get4_raw(&self, idx: usize) -> [T; 4] {
         let mut q = [T::default(); 4];
@@ -481,7 +476,7 @@ impl<T: Scalar> GlobalView<T> {
         q
     }
 
-    /// Raw, *unaccounted* borrow of `len` consecutive elements starting at
+    /// Raw borrow of `len` consecutive elements starting at
     /// `idx`, for span-at-a-time kernel loops (the returned slice borrows
     /// the view, so the storage stays alive). Callers rely on the dispatch
     /// invariant: no work-item writes this buffer while the slice is held.
@@ -551,8 +546,8 @@ impl<T: Scalar> GlobalWriteView<T> {
         self.inner.len() == 0
     }
 
-    /// Raw, *unaccounted* element write. Prefer
-    /// [`GroupCtx::store`](crate::kernel::GroupCtx::store).
+    /// Raw element write — what
+    /// [`GroupCtx::store`](crate::kernel::GroupCtx::store) does.
     #[inline]
     pub fn set_raw(&self, idx: usize, v: T) {
         if let Some(sh) = &self.inner.shadow {
@@ -590,7 +585,7 @@ impl<T: Scalar> GlobalWriteView<T> {
         }
     }
 
-    /// Raw, *unaccounted* element read from a writable view (used by
+    /// Raw element read from a writable view (used by
     /// read-modify-write stages).
     #[inline]
     pub fn get_raw(&self, idx: usize) -> T {
@@ -654,7 +649,7 @@ impl<T: Scalar> GlobalWriteView<T> {
         }
     }
 
-    /// Raw, *unaccounted* write of four consecutive elements — one bounds
+    /// Raw write of four consecutive elements — one bounds
     /// check. Falls back to per-element stores when validation marks are
     /// kept, so write-race detection still sees every element.
     #[inline]
@@ -681,7 +676,7 @@ impl<T: Scalar> GlobalWriteView<T> {
         }
     }
 
-    /// Raw, *unaccounted* write of a span of consecutive elements. Like
+    /// Raw write of a span of consecutive elements. Like
     /// [`GlobalWriteView::set4_raw`], per-element stores under validation
     /// (so write-race marks stay element-accurate), memcpy otherwise.
     #[inline]

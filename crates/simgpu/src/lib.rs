@@ -29,10 +29,13 @@
 //!
 //! Kernels are closures invoked per *work-group* with a
 //! [`GroupCtx`](kernel::GroupCtx); they iterate their work-items and access
-//! global memory through accounting accessors (`load`, `vload4`, `store`,
-//! `vstore4`), local memory through `local_read`/`local_write`, and
-//! synchronise with `barrier()`. See the [`kernel`] module docs for why this
-//! reproduces OpenCL barrier semantics faithfully.
+//! global memory through `load`, `vload4`, `store` and `vstore4`, local
+//! memory through `local_read`/`local_write`, and synchronise with
+//! `barrier()`. See the [`kernel`] module docs for why this reproduces
+//! OpenCL barrier semantics faithfully. What a dispatch costs is declared
+//! up front as a [`Declaration`](access::Declaration) — access windows per
+//! slice plus closed-form counters — which the queue verifies, commits,
+//! and (under the sanitizer) audits against what the kernel really did.
 //!
 //! ## Example
 //!
@@ -50,14 +53,20 @@
 //! // y[i] = 2*x[i] on the device.
 //! let y = ctx.buffer::<f32>("y", 1024);
 //! let (av, yv) = (a.view(), y.write_view());
-//! let per_item = OpCounts::ZERO.muls(1);
-//! q.run(&KernelDesc::new_1d("double", 1024, 256), &[&y], |g| {
+//! let desc = KernelDesc::new_1d("double", 1024, 256);
+//! let mut access = AccessSummary::new("double", 0..4, 4);
+//! access.push(AccessWindow::read(av.info(), 0, 1024));
+//! access.push(AccessWindow::write(yv.info(), 0, 1024));
+//! access.charge_global_n(4, 0, 4, 0, 1024);
+//! let mut work = CostCounters::new();
+//! work.charge_ops_n(&OpCounts::ZERO.muls(1), 1024);
+//! let decl = Declaration::new(desc, vec![access], work);
+//! q.run(&decl, &[&y], |g| {
 //!     for l in items(g.group_size) {
 //!         let i = g.global_index(l, 1024);
 //!         let x = g.load(&av, i);
 //!         g.store(&yv, i, 2.0 * x);
 //!     }
-//!     g.charge_n(&per_item, g.counters.items);
 //! }).unwrap();
 //!
 //! let mut out = vec![0.0f32; 1024];
@@ -87,7 +96,8 @@ pub mod trace;
 /// Convenient glob-import of the common types.
 pub mod prelude {
     pub use crate::access::{
-        AccessError, AccessSummary, AccessWindow, BufRef, ChargedBytes, Role, VerifyStats,
+        AccessError, AccessSummary, AccessWindow, BufRef, ChargedBytes, Declaration, Role,
+        VerifyStats,
     };
     pub use crate::buffer::{Buffer, GlobalView, GlobalWriteView, Scalar};
     pub use crate::context::Context;

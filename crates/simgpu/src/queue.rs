@@ -17,13 +17,13 @@ use std::collections::HashSet;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Mutex};
 
-use crate::access::{self, AccessError, AccessSummary};
+use crate::access::{AccessError, AccessSummary, Declaration};
 use crate::buffer::{Buffer, Scalar};
 use crate::cost::CostCounters;
 use crate::device::{CpuSpec, DeviceSpec};
 use crate::error::{Error, Result};
 use crate::kernel::{GroupCtx, KernelDesc};
-use crate::sanitize::{DriftClass, GroupSan, SanitizeShared, Violation};
+use crate::sanitize::{DriftClass, GroupSan, Observed, SanitizeShared, Violation};
 use crate::span::{SpanId, SpanKind, SpanRecord, SpanRing};
 use crate::timing::{
     bulk_transfer_time, cpu_stage_time, kernel_time, map_transfer_time, rect_transfer_time,
@@ -87,64 +87,53 @@ impl<T: Scalar> WriteTracked for Buffer<T> {
     }
 }
 
-/// Accumulator for one *logical* kernel dispatch executed as several
+/// Progress of one *logical* kernel dispatch executed as several
 /// contiguous work-group slices via [`CommandQueue::run_sliced`].
 ///
 /// The banded (megapass) scheduler cuts a dispatch into row-band slices so
 /// each band's data stays cache-resident on the host, but the cost model
 /// must see exactly the dispatch a whole-grid [`CommandQueue::run`] would
-/// have produced. Counters merge across slices with the same associative,
-/// commutative merge the per-group reduction uses, so the record committed
-/// by [`CommandQueue::commit_sliced`] carries bit-identical counters — and
+/// have produced. Both commit the same [`Declaration`], so the record
+/// [`CommandQueue::commit_sliced`] pushes carries identical counters — and
 /// therefore a bit-identical [`kernel_time`] — to the monolithic dispatch.
 /// Nothing is recorded on the queue (and the simulated clock does not
 /// move) until commit.
 #[derive(Debug)]
-pub struct SlicedDispatch {
-    counters: CostCounters,
-    groups_done: usize,
-    /// Sanitizer-observed traffic summed across slices; audited once at
-    /// commit against the merged counters.
-    observed_read_bytes: u64,
-    observed_write_bytes: u64,
-    declared_ratio: f64,
-    slices: usize,
-    /// Flat group range of every non-empty slice, checked at commit to
-    /// exactly partition the grid (static property d).
-    ranges: Vec<std::ops::Range<usize>>,
-    /// Access summaries declared per slice (when the kernels declare them).
-    access: Vec<AccessSummary>,
+pub struct SlicedDispatch<'d> {
+    decl: &'d Declaration,
+    /// Declared slices executed so far, in order.
+    done: usize,
+    /// Sanitizer observations summed across slices; audited once at
+    /// commit against the declared counters.
+    observed: Observed,
 }
 
-impl SlicedDispatch {
-    /// A fresh accumulator for one logical dispatch.
-    pub fn new() -> Self {
+impl<'d> SlicedDispatch<'d> {
+    /// Starts executing `decl` slice by slice.
+    pub fn new(decl: &'d Declaration) -> Self {
         SlicedDispatch {
-            counters: CostCounters::new(),
-            groups_done: 0,
-            observed_read_bytes: 0,
-            observed_write_bytes: 0,
-            declared_ratio: 1.0,
-            slices: 0,
-            ranges: Vec::new(),
-            access: Vec::new(),
+            decl,
+            done: 0,
+            observed: Observed::default(),
         }
     }
 
     /// Work-groups executed so far across all slices.
     pub fn groups_done(&self) -> usize {
-        self.groups_done
+        self.decl.slices[..self.done]
+            .iter()
+            .map(|s| s.groups.len())
+            .sum()
     }
 
     /// Number of slices executed so far.
     pub fn slices(&self) -> usize {
-        self.slices
+        self.done
     }
-}
 
-impl Default for SlicedDispatch {
-    fn default() -> Self {
-        Self::new()
+    /// The declaration being executed.
+    pub fn declaration(&self) -> &'d Declaration {
+        self.decl
     }
 }
 
@@ -167,14 +156,8 @@ pub struct CommandQueue {
     /// Sanitizer handle inherited from the creating context; `Some` only
     /// for sanitized contexts.
     sanitize: Option<Arc<SanitizeShared>>,
-    /// When true, every kernel dispatch must declare an [`AccessSummary`]
-    /// first (an undeclared dispatch is a hard [`AccessError::Undeclared`])
-    /// and declared summaries are retained in [`Self::access_log`].
-    require_access: bool,
-    /// Summary declared via [`Self::declare_access`] for the next dispatch.
-    pending_access: Option<AccessSummary>,
-    /// Verified summaries of past dispatches (populated only when
-    /// declarations are required, to bound steady-state memory).
+    /// Summaries of the dispatches committed since the last
+    /// [`Self::reset`], in commit order.
     access_log: Vec<AccessSummary>,
     /// Hierarchical span ring; `None` when span tracing is off. Boxed so
     /// the disabled (default) case costs one pointer in the queue.
@@ -198,7 +181,6 @@ impl CommandQueue {
         cpu: CpuSpec,
         dispatch_threads: usize,
         sanitize: Option<Arc<SanitizeShared>>,
-        require_access: bool,
         span_capacity: Option<usize>,
     ) -> Self {
         CommandQueue {
@@ -211,8 +193,6 @@ impl CommandQueue {
             interner: HashSet::new(),
             name_scratch: String::new(),
             sanitize,
-            require_access,
-            pending_access: None,
             access_log: Vec::new(),
             spans: span_capacity.map(|c| Box::new(SpanRing::new(c))),
         }
@@ -281,32 +261,9 @@ impl CommandQueue {
 
     // ---- kernel dispatch ------------------------------------------------
 
-    /// Declares the access summary of the *next* kernel dispatch and
-    /// statically verifies it (bounds, write disjointness, accounting) —
-    /// a rejected summary is a typed error before any work runs. The
-    /// dispatch itself then checks the declaration matches its grid and,
-    /// after execution, that the summary's charged bytes equal what the
-    /// kernel actually charged; sanitized runs additionally cross-validate
-    /// the declared windows against the observed shadow traffic.
-    pub fn declare_access(&mut self, summary: AccessSummary) -> Result<()> {
-        if let Some(prev) = &self.pending_access {
-            return Err(Error::Access(AccessError::GridMismatch {
-                kernel: summary.kernel,
-                detail: format!(
-                    "previous declaration for kernel `{}` was never dispatched",
-                    prev.kernel
-                ),
-            }));
-        }
-        access::verify_summary(&summary)?;
-        self.pending_access = Some(summary);
-        Ok(())
-    }
-
-    /// Verified summaries retained from declared dispatches. Populated
-    /// only when the context requires access declarations
-    /// ([`crate::context::Context::with_access_required`]); cleared by
-    /// [`Self::reset`] and [`Self::take_access_log`].
+    /// Summaries of the dispatches committed since the last reset, in
+    /// commit order (one per executed slice). Cleared by [`Self::reset`]
+    /// and [`Self::take_access_log`].
     pub fn access_log(&self) -> &[AccessSummary] {
         &self.access_log
     }
@@ -316,82 +273,52 @@ impl CommandQueue {
         std::mem::take(&mut self.access_log)
     }
 
-    /// Checks a declared summary against the dispatch it was declared for.
-    fn check_declared(
-        a: &AccessSummary,
-        desc: &KernelDesc,
-        groups: std::ops::Range<usize>,
-    ) -> Result<()> {
-        if a.kernel != desc.name || a.total_groups != desc.total_groups() || a.groups != groups {
-            return Err(Error::Access(AccessError::GridMismatch {
-                kernel: desc.name.clone(),
-                detail: format!(
-                    "declared `{}` groups {}..{} of {}, dispatching groups {}..{} of {}",
-                    a.kernel,
-                    a.groups.start,
-                    a.groups.end,
-                    a.total_groups,
-                    groups.start,
-                    groups.end,
-                    desc.total_groups()
-                ),
-            }));
-        }
-        Ok(())
-    }
-
     /// Compares the sanitizer's observed per-element traffic against the
     /// declared windows — equality, not a bound: summaries declare access
     /// *events* exactly, so any drift means the declaration rotted.
-    fn cross_validate(sh: &SanitizeShared, a: &AccessSummary, observed_r: u64, observed_w: u64) {
-        let declared_r = a.declared_read_bytes();
-        if declared_r != observed_r {
-            sh.record(Violation::SummaryDrift {
-                kernel: a.kernel.clone(),
-                class: DriftClass::Read,
-                observed: observed_r,
-                declared: declared_r,
-            });
-        }
-        let declared_w = a.declared_write_bytes();
-        if declared_w != observed_w {
-            sh.record(Violation::SummaryDrift {
-                kernel: a.kernel.clone(),
-                class: DriftClass::Write,
-                observed: observed_w,
-                declared: declared_w,
-            });
+    fn cross_validate(sh: &SanitizeShared, a: &AccessSummary, observed: &Observed) {
+        let pairs = [
+            (
+                DriftClass::Read,
+                observed.read_bytes,
+                a.declared_read_bytes(),
+            ),
+            (
+                DriftClass::Write,
+                observed.write_bytes,
+                a.declared_write_bytes(),
+            ),
+        ];
+        for (class, observed, declared) in pairs {
+            if declared != observed {
+                sh.record(Violation::SummaryDrift {
+                    kernel: a.kernel.clone(),
+                    class,
+                    observed,
+                    declared,
+                });
+            }
         }
     }
 
-    /// Dispatches a kernel: runs `f` once per work-group (in parallel),
-    /// merges the per-group cost counters, charges the timing model, and
-    /// checks the listed output buffers for write races.
-    ///
-    /// Returns the timing decomposition of the dispatch.
-    pub fn run<F>(
-        &mut self,
+    /// Runs `f` once per work-group of the declared slice `slice` (in
+    /// parallel), cross-validates the slice's summary against the shadow
+    /// on sanitized contexts, and checks the listed output buffers for
+    /// write races. Returns what the sanitizer observed (zero when off).
+    fn execute<F>(
+        &self,
         desc: &KernelDesc,
+        slice: &AccessSummary,
         outputs: &[&dyn WriteTracked],
         f: F,
-    ) -> Result<KernelTime>
+    ) -> Result<Observed>
     where
         F: Fn(&mut GroupCtx) + Sync,
     {
-        let declared = self.pending_access.take();
-        desc.check()?;
-        if let Some(a) = &declared {
-            Self::check_declared(a, desc, 0..desc.total_groups())?;
-        } else if self.require_access {
-            return Err(Error::Access(AccessError::Undeclared {
-                kernel: desc.name.clone(),
-            }));
-        }
         for out in outputs {
             out.begin_epoch();
         }
         let [gx, _gy] = desc.num_groups();
-        let total = desc.total_groups();
         let threads = if self.dispatch_threads == 0 {
             crate::par::default_threads()
         } else {
@@ -403,52 +330,39 @@ impl CommandQueue {
         // `Error::KernelPanic` instead of tearing the process down.
         let panic_msg: Mutex<Option<String>> = Mutex::new(None);
         let poisoned = AtomicBool::new(false);
-        let counters = crate::par::map_reduce(
-            total,
-            threads,
-            CostCounters::new,
-            |gi| {
-                if poisoned.load(Ordering::Relaxed) {
-                    return CostCounters::new();
+        let start = slice.groups.start;
+        crate::par::for_each_index(slice.groups.len(), threads, |i| {
+            if poisoned.load(Ordering::Relaxed) {
+                return;
+            }
+            let gi = start + i;
+            let gid = [gi % gx, gi / gx];
+            let san = match (&self.sanitize, san_epoch) {
+                (Some(s), Some(e)) => Some(GroupSan::new(Arc::clone(s), e, gi, desc.group_lanes())),
+                _ => None,
+            };
+            let mut ctx = GroupCtx::new_with(desc, gid, san);
+            if let Err(payload) =
+                std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| f(&mut ctx)))
+            {
+                poisoned.store(true, Ordering::Relaxed);
+                let msg = payload
+                    .downcast_ref::<&str>()
+                    .map(|s| s.to_string())
+                    .or_else(|| payload.downcast_ref::<String>().cloned())
+                    .unwrap_or_else(|| "kernel closure panicked".to_string());
+                let mut g = panic_msg.lock().unwrap();
+                if g.is_none() {
+                    *g = Some(msg);
                 }
-                let gid = [gi % gx, gi / gx];
-                let san = match (&self.sanitize, san_epoch) {
-                    (Some(s), Some(e)) => {
-                        Some(GroupSan::new(Arc::clone(s), e, gi, desc.group_lanes()))
-                    }
-                    _ => None,
-                };
-                let mut ctx = GroupCtx::new_with(desc, gid, san);
-                match std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| f(&mut ctx))) {
-                    Ok(()) => ctx.counters,
-                    Err(payload) => {
-                        poisoned.store(true, Ordering::Relaxed);
-                        let msg = payload
-                            .downcast_ref::<&str>()
-                            .map(|s| s.to_string())
-                            .or_else(|| payload.downcast_ref::<String>().cloned())
-                            .unwrap_or_else(|| "kernel closure panicked".to_string());
-                        let mut g = panic_msg.lock().unwrap();
-                        if g.is_none() {
-                            *g = Some(msg);
-                        }
-                        CostCounters::new()
-                    }
-                }
-            },
-            |mut a, b| {
-                a.merge(&b);
-                a
-            },
-        );
+            }
+        });
         let panicked = panic_msg.into_inner().unwrap();
+        let mut observed = Observed::default();
         if let Some(sh) = &self.sanitize {
             if panicked.is_none() {
-                if let Some(a) = &declared {
-                    let (r, w, _) = sh.dispatch_traffic();
-                    Self::cross_validate(sh, a, r, w);
-                }
-                sh.audit(&desc.name, &counters);
+                observed = sh.observed();
+                Self::cross_validate(sh, slice, &observed);
             }
             sh.end_dispatch();
         }
@@ -466,166 +380,119 @@ impl CommandQueue {
                 });
             }
         }
-        if let Some(a) = &declared {
-            a.charged_matches(&counters)?;
-        }
-        let t = kernel_time(&self.device, &counters);
-        self.push(&desc.name, CommandKind::Kernel, t.total_s, Some(counters));
-        if self.require_access {
-            if let Some(a) = declared {
-                self.access_log.push(a);
-            }
-        }
-        Ok(t)
+        Ok(observed)
     }
 
-    /// Executes the contiguous flat-group-index slice `groups` of `desc`'s
-    /// grid, merging the group counters into `acc` without recording any
-    /// command. Flat index `gi` maps to group `[gi % gx, gi / gx]`, exactly
-    /// as in [`CommandQueue::run`], so the union of disjoint slices over
-    /// `0..desc.total_groups()` performs precisely the monolithic
-    /// dispatch's work — and, because the counter merge is associative and
-    /// commutative, accumulates bit-identical counters regardless of how
-    /// the grid was cut.
+    /// Records a committed dispatch: audits the sanitizer's observations
+    /// against the declared counters, then charges exactly those counters.
+    fn commit(&mut self, decl: &Declaration, observed: &Observed) -> KernelTime {
+        if let Some(sh) = &self.sanitize {
+            sh.audit(&decl.desc.name, &decl.counters, observed, decl.read_ratio());
+        }
+        let t = kernel_time(&self.device, &decl.counters);
+        self.push(
+            &decl.desc.name,
+            CommandKind::Kernel,
+            t.total_s,
+            Some(decl.counters),
+        );
+        self.access_log.extend(decl.slices.iter().cloned());
+        t
+    }
+
+    /// Dispatches a kernel over its whole grid: verifies the declaration
+    /// (a rejected one is a typed error before any work runs), runs `f`
+    /// once per work-group (in parallel), checks the listed output buffers
+    /// for write races, and commits the declared cost.
+    ///
+    /// Returns the timing decomposition of the dispatch.
+    pub fn run<F>(
+        &mut self,
+        decl: &Declaration,
+        outputs: &[&dyn WriteTracked],
+        f: F,
+    ) -> Result<KernelTime>
+    where
+        F: Fn(&mut GroupCtx) + Sync,
+    {
+        decl.desc.check()?;
+        decl.verify()?;
+        let [slice] = &decl.slices[..] else {
+            return Err(Error::Access(AccessError::GridMismatch {
+                kernel: decl.desc.name.clone(),
+                detail: format!(
+                    "declares {} slices; a whole-grid dispatch runs one",
+                    decl.slices.len()
+                ),
+            }));
+        };
+        let observed = self.execute(&decl.desc, slice, outputs, f)?;
+        Ok(self.commit(decl, &observed))
+    }
+
+    /// Executes the next declared slice of `acc`'s dispatch — the
+    /// contiguous flat-group-index range `groups`, which must equal that
+    /// slice's declared range — without recording any command. Flat index
+    /// `gi` maps to group `[gi % gx, gi / gx]`, exactly as in
+    /// [`CommandQueue::run`], so the union of the declared slices performs
+    /// precisely the monolithic dispatch's work. An empty range is a no-op.
     ///
     /// Write-race validation and the sanitizer's race/bounds/barrier
     /// analysis run per slice (each slice is its own write epoch and
     /// sanitizer dispatch; cross-slice conflicts are out of scope — a
-    /// correct slicer gives slices disjoint output rows). The
-    /// cost-accounting drift audit is deferred to
-    /// [`CommandQueue::commit_sliced`], which compares the slice-summed
-    /// observed traffic against the merged counters once: a single slice
-    /// may legitimately observe zero read bytes while its bulk charge is
-    /// positive.
+    /// correct slicer gives slices disjoint output rows). The drift audit
+    /// is deferred to [`CommandQueue::commit_sliced`], which compares the
+    /// slice-summed observations against the declared counters once.
     pub fn run_sliced<F>(
         &mut self,
-        desc: &KernelDesc,
-        outputs: &[&dyn WriteTracked],
+        acc: &mut SlicedDispatch<'_>,
         groups: std::ops::Range<usize>,
-        acc: &mut SlicedDispatch,
+        outputs: &[&dyn WriteTracked],
         f: F,
     ) -> Result<()>
     where
         F: Fn(&mut GroupCtx) + Sync,
     {
-        let declared = self.pending_access.take();
-        desc.check()?;
-        if groups.end > desc.total_groups() {
+        let decl = acc.decl;
+        decl.desc.check()?;
+        if groups.end > decl.desc.total_groups() {
             return Err(Error::InvalidKernelArgs {
-                kernel: desc.name.clone(),
+                kernel: decl.desc.name.clone(),
                 detail: format!(
                     "sliced dispatch range {}..{} exceeds the grid's {} work-groups",
                     groups.start,
                     groups.end,
-                    desc.total_groups()
+                    decl.desc.total_groups()
                 ),
             });
         }
         if groups.is_empty() {
-            // Nothing executes; a declaration for an empty slice (if any)
-            // is discarded rather than leaking onto the next dispatch.
             return Ok(());
         }
-        if let Some(a) = &declared {
-            Self::check_declared(a, desc, groups.clone())?;
-        } else if self.require_access {
-            return Err(Error::Access(AccessError::Undeclared {
-                kernel: desc.name.clone(),
-            }));
+        if acc.done == 0 {
+            decl.verify()?;
         }
-        for out in outputs {
-            out.begin_epoch();
-        }
-        let [gx, _gy] = desc.num_groups();
-        let threads = if self.dispatch_threads == 0 {
-            crate::par::default_threads()
-        } else {
-            self.dispatch_threads
+        let slice = match decl.slices.get(acc.done) {
+            Some(s) if s.groups == groups => s,
+            declared => {
+                return Err(Error::Access(AccessError::GridMismatch {
+                    kernel: decl.desc.name.clone(),
+                    detail: format!(
+                        "slice {} runs groups {}..{}, declared {:?}",
+                        acc.done,
+                        groups.start,
+                        groups.end,
+                        declared.map(|s| s.groups.clone())
+                    ),
+                }))
+            }
         };
-        let san_epoch = self.sanitize.as_ref().map(|s| s.begin_dispatch(&desc.name));
-        let panic_msg: Mutex<Option<String>> = Mutex::new(None);
-        let poisoned = AtomicBool::new(false);
-        let start = groups.start;
-        let counters = crate::par::map_reduce(
-            groups.len(),
-            threads,
-            CostCounters::new,
-            |i| {
-                if poisoned.load(Ordering::Relaxed) {
-                    return CostCounters::new();
-                }
-                let gi = start + i;
-                let gid = [gi % gx, gi / gx];
-                let san = match (&self.sanitize, san_epoch) {
-                    (Some(s), Some(e)) => {
-                        Some(GroupSan::new(Arc::clone(s), e, gi, desc.group_lanes()))
-                    }
-                    _ => None,
-                };
-                let mut ctx = GroupCtx::new_with(desc, gid, san);
-                match std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| f(&mut ctx))) {
-                    Ok(()) => ctx.counters,
-                    Err(payload) => {
-                        poisoned.store(true, Ordering::Relaxed);
-                        let msg = payload
-                            .downcast_ref::<&str>()
-                            .map(|s| s.to_string())
-                            .or_else(|| payload.downcast_ref::<String>().cloned())
-                            .unwrap_or_else(|| "kernel closure panicked".to_string());
-                        let mut g = panic_msg.lock().unwrap();
-                        if g.is_none() {
-                            *g = Some(msg);
-                        }
-                        CostCounters::new()
-                    }
-                }
-            },
-            |mut a, b| {
-                a.merge(&b);
-                a
-            },
-        );
-        let panicked = panic_msg.into_inner().unwrap();
-        if let Some(sh) = &self.sanitize {
-            if panicked.is_none() {
-                let (r, w, ratio) = sh.dispatch_traffic();
-                if let Some(a) = &declared {
-                    Self::cross_validate(sh, a, r, w);
-                }
-                acc.observed_read_bytes += r;
-                acc.observed_write_bytes += w;
-                acc.declared_ratio = acc.declared_ratio.max(ratio);
-            }
-            sh.end_dispatch();
-        }
-        if let Some(message) = panicked {
-            return Err(Error::KernelPanic {
-                kernel: desc.name.clone(),
-                message,
-            });
-        }
-        for out in outputs {
-            if let Some(index) = out.race_index() {
-                return Err(Error::WriteRace {
-                    kernel: desc.name.clone(),
-                    index,
-                });
-            }
-        }
-        if let Some(a) = &declared {
-            a.charged_matches(&counters)?;
-        }
-        acc.counters.merge(&counters);
-        acc.groups_done += groups.len();
-        acc.slices += 1;
-        acc.ranges.push(groups);
-        if let Some(a) = declared {
-            acc.access.push(a);
-        }
+        acc.observed += self.execute(&decl.desc, slice, outputs, f)?;
+        acc.done += 1;
         if self.spans.is_some() {
             // The clock does not move until commit, so a slice's simulated
             // duration is zero; its wall gap is the slice's execution time.
-            let name = self.intern(&desc.name);
+            let name = self.intern(&decl.desc.name);
             if let Some(ring) = &mut self.spans {
                 ring.leaf(SpanKind::Slice, name, self.clock_s, 0.0);
             }
@@ -633,61 +500,26 @@ impl CommandQueue {
         Ok(())
     }
 
-    /// Commits a sliced dispatch: verifies every work-group of `desc`'s
-    /// grid ran exactly once across the accumulated slices, audits the
-    /// summed observed traffic against the merged counters (sanitized
-    /// contexts), and records the *single* kernel command the monolithic
+    /// Commits a sliced dispatch once every declared slice ran: audits the
+    /// summed observations against the declared counters (sanitized
+    /// contexts) and records the *single* kernel command the monolithic
     /// [`CommandQueue::run`] would have recorded — same name, same
     /// counters, same [`kernel_time`], so the simulated clock advances
     /// identically.
-    pub fn commit_sliced(&mut self, desc: &KernelDesc, acc: SlicedDispatch) -> Result<KernelTime> {
-        desc.check()?;
-        // Static property (d): the executed slices must exactly tile the
-        // grid — a gap or an overlap (even one that happens to sum to the
-        // right group count) is a typed verdict, not a silent mis-commit.
-        access::verify_partition(&desc.name, desc.total_groups(), &acc.ranges)?;
-        if self.require_access && acc.access.len() != acc.slices {
-            return Err(Error::Access(AccessError::Undeclared {
-                kernel: desc.name.clone(),
+    pub fn commit_sliced(&mut self, acc: SlicedDispatch<'_>) -> Result<KernelTime> {
+        let decl = acc.decl;
+        decl.desc.check()?;
+        if acc.done != decl.slices.len() {
+            return Err(Error::Access(AccessError::CoverageGap {
+                kernel: decl.desc.name.clone(),
+                detail: format!(
+                    "executed {} of {} declared slices",
+                    acc.done,
+                    decl.slices.len()
+                ),
             }));
         }
-        // Static property (c) for sliced dispatches: the overcharge-ratio
-        // bound holds on the merged totals (a border-only slice may charge
-        // reads while declaring none; the whole dispatch still balances),
-        // mirroring how the dynamic audit treats slices.
-        if !acc.access.is_empty() {
-            let declared_r: u64 = acc.access.iter().map(|a| a.declared_read_bytes()).sum();
-            let charged_r: u64 = acc.access.iter().map(|a| a.charged.reads()).sum();
-            let ratio = acc.access.iter().fold(1.0f64, |m, a| m.max(a.read_ratio));
-            if charged_r != declared_r && charged_r as f64 > declared_r as f64 * ratio {
-                return Err(Error::Access(AccessError::RatioExceeded {
-                    kernel: desc.name.clone(),
-                    declared: declared_r,
-                    charged: charged_r,
-                    ratio_bits: ratio.to_bits(),
-                }));
-            }
-        }
-        if let Some(sh) = &self.sanitize {
-            sh.audit_totals(
-                &desc.name,
-                &acc.counters,
-                acc.observed_read_bytes,
-                acc.observed_write_bytes,
-                acc.declared_ratio,
-            );
-        }
-        let t = kernel_time(&self.device, &acc.counters);
-        self.push(
-            &desc.name,
-            CommandKind::Kernel,
-            t.total_s,
-            Some(acc.counters),
-        );
-        if self.require_access {
-            self.access_log.extend(acc.access);
-        }
-        Ok(t)
+        Ok(self.commit(decl, &acc.observed))
     }
 
     // ---- transfers --------------------------------------------------------
@@ -1030,7 +862,6 @@ impl CommandQueue {
         self.clock_s = 0.0;
         self.records.clear();
         self.commands_since_finish = 0;
-        self.pending_access = None;
         self.access_log.clear();
         if let Some(ring) = &mut self.spans {
             ring.clear();
@@ -1102,21 +933,52 @@ mod tests {
         assert_eq!(q.records().len(), 2);
     }
 
+    /// The declaration of the 64×64 `fill` kernel below over the given
+    /// flat-group slices: every item reads and writes its own element and
+    /// performs one add.
+    fn fill_decl(slices: &[std::ops::Range<usize>]) -> Declaration {
+        let desc = KernelDesc::new("fill", [64, 64], [16, 16]);
+        let out = crate::access::BufRef::f32("out", 64 * 64);
+        let summaries = slices
+            .iter()
+            .map(|groups| {
+                let mut s = AccessSummary::new("fill", groups.clone(), 16);
+                for gi in groups.clone() {
+                    let base = 16 * (gi / 4) * 64 + 16 * (gi % 4);
+                    for w in [
+                        crate::access::AccessWindow::read(out.clone(), base, 16),
+                        crate::access::AccessWindow::write(out.clone(), base, 16),
+                    ] {
+                        s.push(w.by_y(16, 64));
+                    }
+                }
+                s.charge_global_n(4, 0, 4, 0, 256 * groups.len() as u64);
+                s
+            })
+            .collect();
+        let mut work = CostCounters::new();
+        work.charge_ops_n(&OpCounts::ZERO.adds(1), 64 * 64);
+        Declaration::new(desc, summaries, work)
+    }
+
+    fn fill_body(w: crate::buffer::GlobalWriteView<f32>) -> impl Fn(&mut GroupCtx) + Sync {
+        move |g: &mut GroupCtx| {
+            for l in crate::kernel::items(g.group_size) {
+                g.begin_item(l);
+                let idx = g.global_index(l, 64);
+                let v = g.load_mut(&w, idx);
+                g.store(&w, idx, v + idx as f32);
+            }
+        }
+    }
+
     #[test]
-    fn kernel_runs_all_groups_and_items() {
+    fn kernel_runs_all_groups_and_commits_its_declaration() {
         let ctx = ctx();
         let mut q = ctx.queue();
         let buf = ctx.buffer::<f32>("out", 64 * 64);
-        let w = buf.write_view();
-        let desc = KernelDesc::new("fill", [64, 64], [16, 16]);
-        let t = q
-            .run(&desc, &[&buf], |g| {
-                for l in crate::kernel::items(g.group_size) {
-                    let idx = g.global_index(l, 64);
-                    g.store(&w, idx, idx as f32);
-                }
-            })
-            .unwrap();
+        let decl = fill_decl(std::slice::from_ref(&(0..16)));
+        let t = q.run(&decl, &[&buf], fill_body(buf.write_view())).unwrap();
         assert!(t.total_s > 0.0);
         let s = buf.snapshot();
         assert_eq!(s[100], 100.0);
@@ -1124,40 +986,27 @@ mod tests {
         let rec = &q.records()[0];
         assert_eq!(rec.kind, CommandKind::Kernel);
         let c = rec.counters.unwrap();
+        assert_eq!(c, decl.counters);
         assert_eq!(c.items, 64 * 64);
         assert_eq!(c.groups, 16);
         assert_eq!(c.global_write_scalar, 64 * 64 * 4);
+        assert_eq!(q.access_log(), &decl.slices[..]);
     }
 
-    fn fill_kernel(
-        q: &mut CommandQueue,
-        buf: &Buffer<f32>,
-        slices: Option<&[usize]>,
-    ) -> Result<KernelTime> {
-        let w = buf.write_view();
-        let desc = KernelDesc::new("fill", [64, 64], [16, 16]);
-        let body = |g: &mut GroupCtx| {
-            for l in crate::kernel::items(g.group_size) {
-                g.begin_item(l);
-                let idx = g.global_index(l, 64);
-                let v = g.load_mut(&w, idx);
-                g.store(&w, idx, v + idx as f32);
-                g.charge(&OpCounts::ZERO.adds(1));
-            }
-        };
-        match slices {
-            None => q.run(&desc, &[buf], body),
-            Some(cuts) => {
-                let mut acc = SlicedDispatch::new();
-                let mut start = 0;
-                for &end in cuts {
-                    q.run_sliced(&desc, &[buf], start..end, &mut acc, body)?;
-                    start = end;
-                }
-                q.run_sliced(&desc, &[buf], start..desc.total_groups(), &mut acc, body)?;
-                q.commit_sliced(&desc, acc)
-            }
+    fn fill_kernel(q: &mut CommandQueue, buf: &Buffer<f32>, cuts: &[usize]) -> Result<KernelTime> {
+        let mut bounds = vec![0];
+        bounds.extend_from_slice(cuts);
+        bounds.push(16);
+        let slices: Vec<_> = bounds.windows(2).map(|b| b[0]..b[1]).collect();
+        let decl = fill_decl(&slices);
+        if slices.len() == 1 {
+            return q.run(&decl, &[buf], fill_body(buf.write_view()));
         }
+        let mut acc = SlicedDispatch::new(&decl);
+        for groups in slices {
+            q.run_sliced(&mut acc, groups, &[buf], fill_body(buf.write_view()))?;
+        }
+        q.commit_sliced(acc)
     }
 
     #[test]
@@ -1165,13 +1014,13 @@ mod tests {
         let mono = ctx();
         let mut qm = mono.queue();
         let a = mono.buffer::<f32>("out", 64 * 64);
-        let tm = fill_kernel(&mut qm, &a, None).unwrap();
+        let tm = fill_kernel(&mut qm, &a, &[]).unwrap();
 
         let sliced = ctx();
         let mut qs = sliced.queue();
         let b = sliced.buffer::<f32>("out", 64 * 64);
         // Deliberately uneven cuts (1, 6, 9 groups) of the 16-group grid.
-        let ts = fill_kernel(&mut qs, &b, Some(&[1, 7])).unwrap();
+        let ts = fill_kernel(&mut qs, &b, &[1, 7]).unwrap();
 
         assert_eq!(a.snapshot(), b.snapshot());
         assert_eq!(tm.total_s.to_bits(), ts.total_s.to_bits());
@@ -1190,7 +1039,7 @@ mod tests {
         let mut q = ctx.queue();
         let buf = ctx.buffer::<f32>("out", 64 * 64);
         buf.fill_from(&vec![0.0; 64 * 64]);
-        fill_kernel(&mut q, &buf, Some(&[4, 8, 12])).unwrap();
+        fill_kernel(&mut q, &buf, &[4, 8, 12]).unwrap();
         let report = ctx.sanitize_report().unwrap();
         assert!(report.is_clean(), "{report}");
         // Each slice counts as one analysed dispatch.
@@ -1198,23 +1047,17 @@ mod tests {
     }
 
     #[test]
-    fn sliced_dispatch_commit_requires_full_coverage() {
+    fn sliced_dispatch_commit_requires_every_declared_slice() {
         let ctx = ctx();
         let mut q = ctx.queue();
         let buf = ctx.buffer::<f32>("out", 64 * 64);
-        let w = buf.write_view();
-        let desc = KernelDesc::new("fill", [64, 64], [16, 16]);
-        let mut acc = SlicedDispatch::new();
-        q.run_sliced(&desc, &[&buf], 0..4, &mut acc, |g| {
-            for l in crate::kernel::items(g.group_size) {
-                let idx = g.global_index(l, 64);
-                g.store(&w, idx, 1.0);
-            }
-        })
-        .unwrap();
+        let decl = fill_decl(&[0..4, 4..16]);
+        let mut acc = SlicedDispatch::new(&decl);
+        q.run_sliced(&mut acc, 0..4, &[&buf], fill_body(buf.write_view()))
+            .unwrap();
         assert_eq!(acc.groups_done(), 4);
         assert_eq!(acc.slices(), 1);
-        let err = q.commit_sliced(&desc, acc).unwrap_err();
+        let err = q.commit_sliced(acc).unwrap_err();
         assert!(matches!(
             err,
             Error::Access(crate::access::AccessError::CoverageGap { .. })
@@ -1229,17 +1072,49 @@ mod tests {
         let ctx = ctx();
         let mut q = ctx.queue();
         let buf = ctx.buffer::<f32>("out", 64 * 64);
-        let desc = KernelDesc::new("fill", [64, 64], [16, 16]);
-        let mut acc = SlicedDispatch::new();
+        let decl = fill_decl(&[0..4, 4..16]);
+        let mut acc = SlicedDispatch::new(&decl);
         // Empty slice: fine, a no-op.
-        q.run_sliced(&desc, &[&buf], 3..3, &mut acc, |_| {})
-            .unwrap();
+        q.run_sliced(&mut acc, 3..3, &[&buf], |_| {}).unwrap();
         assert_eq!(acc.groups_done(), 0);
         // Out-of-grid range: typed error.
-        let err = q
-            .run_sliced(&desc, &[&buf], 10..17, &mut acc, |_| {})
-            .unwrap_err();
+        let err = q.run_sliced(&mut acc, 10..17, &[&buf], |_| {}).unwrap_err();
         assert!(matches!(err, Error::InvalidKernelArgs { .. }));
+        // A range other than the next declared slice: typed error.
+        let err = q.run_sliced(&mut acc, 4..16, &[&buf], |_| {}).unwrap_err();
+        assert!(matches!(
+            err,
+            Error::Access(crate::access::AccessError::GridMismatch { .. })
+        ));
+    }
+
+    #[test]
+    fn undeclared_traffic_is_flagged_under_the_sanitizer() {
+        let ctx = Context::sanitized(DeviceSpec::firepro_w8000());
+        let mut q = ctx.queue();
+        let buf = ctx.buffer::<f32>("out", 64 * 64);
+        buf.fill_from(&vec![0.0; 64 * 64]);
+        let w = buf.write_view();
+        // Declares the fill kernel but also issues a barrier per group.
+        q.run(
+            &fill_decl(std::slice::from_ref(&(0..16))),
+            &[&buf],
+            move |g| {
+                fill_body(w.clone())(g);
+                g.barrier();
+            },
+        )
+        .unwrap();
+        let report = ctx.sanitize_report().unwrap();
+        assert!(report.violations.iter().any(|v| matches!(
+            v,
+            Violation::AccountingDrift {
+                class: DriftClass::Barriers,
+                observed: 16,
+                charged: 0,
+                ..
+            }
+        )));
     }
 
     #[test]
@@ -1249,8 +1124,14 @@ mod tests {
         let buf = ctx.buffer::<f32>("out", 16);
         let w = buf.write_view();
         let desc = KernelDesc::new("racy", [64, 1], [8, 1]);
+        // Declares one write per group, each into its own slot; the body
+        // then writes the same eight slots from every group.
+        let mut s = AccessSummary::new("racy", 0..8, 8);
+        s.push(crate::access::AccessWindow::write(buf.view().info(), 0, 8));
+        s.charge_global_n(0, 0, 4, 0, 8);
+        let decl = Declaration::new(desc, vec![s], CostCounters::new());
         let err = q
-            .run(&desc, &[&buf], |g| {
+            .run(&decl, &[&buf], |g| {
                 for l in crate::kernel::items(g.group_size) {
                     // Everyone writes slot local-x: races across groups.
                     g.store(&w, l[0], 1.0);

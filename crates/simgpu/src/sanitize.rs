@@ -25,12 +25,12 @@
 //! * **barrier divergence** — a `barrier()` reached under item-dependent
 //!   control flow, detected when the item sweep resumes *past* the lane
 //!   that hit the barrier (some lanes skipped it);
-//! * **accounting drift** — the bytes a dispatch actually touched versus
-//!   what the kernel charged the cost model via `charge_global_n` et al.
-//!   Writes must match exactly; reads must match exactly unless the kernel
-//!   declares a deliberate overcharge ratio (see
-//!   [`GroupCtx::declare_read_overcharge`](crate::kernel::GroupCtx::declare_read_overcharge)),
-//!   modelling kernels that charge redundant window loads;
+//! * **accounting drift** — what a dispatch actually did versus its
+//!   [`Declaration`](crate::access::Declaration): global bytes, barriers
+//!   and local-memory bytes. Writes, barriers and local bytes must match
+//!   exactly; reads must match exactly unless the dispatch's summaries
+//!   declare a deliberate overcharge ratio, modelling kernels that charge
+//!   redundant window loads;
 //! * **uninitialised reads** (opt-in via
 //!   [`SanitizeConfig::check_uninit_reads`]) — an element read before any
 //!   host transfer or kernel store wrote it; this is the pool-recycling
@@ -76,17 +76,23 @@ impl fmt::Display for RaceKind {
 /// Which side of the cost accounting drifted.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum DriftClass {
-    /// Global read bytes: observed vs charged.
+    /// Global read bytes: observed vs declared.
     Read,
-    /// Global write bytes: observed vs charged.
+    /// Global write bytes: observed vs declared.
     Write,
+    /// Work-group barriers, summed over groups: observed vs declared.
+    Barriers,
+    /// Local (LDS) bytes moved: observed vs declared.
+    LocalBytes,
 }
 
 impl fmt::Display for DriftClass {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
-            DriftClass::Read => write!(f, "read"),
-            DriftClass::Write => write!(f, "write"),
+            DriftClass::Read => write!(f, "global read bytes"),
+            DriftClass::Write => write!(f, "global write bytes"),
+            DriftClass::Barriers => write!(f, "barriers"),
+            DriftClass::LocalBytes => write!(f, "local-memory bytes"),
         }
     }
 }
@@ -152,17 +158,17 @@ pub enum Violation {
         /// Flat index of the group that diverged.
         group: usize,
     },
-    /// Observed global traffic differs from what the kernel charged the
-    /// cost model. Every simulated-seconds figure derives from those
-    /// charges, so drift silently corrupts the paper reproduction.
+    /// What the dispatch did differs from the cost its declaration
+    /// charges. Every simulated-seconds figure derives from those
+    /// counters, so drift silently corrupts the paper reproduction.
     AccountingDrift {
-        /// Kernel whose charges drifted.
+        /// Kernel whose declared cost drifted.
         kernel: String,
-        /// Read-side or write-side drift.
+        /// Which counter drifted.
         class: DriftClass,
-        /// Bytes the dispatch actually touched.
+        /// What the dispatch actually did.
         observed: u64,
-        /// Bytes the kernel charged.
+        /// What the declaration charges.
         charged: u64,
     },
     /// The dynamic access set observed by the shadow differs from what the
@@ -243,7 +249,7 @@ impl fmt::Display for Violation {
                 charged,
             } => write!(
                 f,
-                "accounting drift in kernel `{kernel}`: observed {observed} global {class} bytes, charged {charged}"
+                "accounting drift in kernel `{kernel}`: observed {observed} {class}, declared {charged}"
             ),
             Violation::SummaryDrift {
                 kernel,
@@ -252,7 +258,7 @@ impl fmt::Display for Violation {
                 declared,
             } => write!(
                 f,
-                "access-summary drift in kernel `{kernel}`: observed {observed} global {class} bytes, summary declares {declared}"
+                "access-summary drift in kernel `{kernel}`: observed {observed} {class}, summary declares {declared}"
             ),
             Violation::UninitRead {
                 kernel,
@@ -385,6 +391,29 @@ thread_local! {
     static CURSOR: Cell<(u64, u64)> = const { Cell::new((0, 0)) };
 }
 
+/// What one dispatch (or the sum of a sliced dispatch's slices) was
+/// observed to do, in the units its declared cost counters use.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub(crate) struct Observed {
+    /// Global bytes read.
+    pub(crate) read_bytes: u64,
+    /// Global bytes written.
+    pub(crate) write_bytes: u64,
+    /// Barriers issued, summed over groups.
+    pub(crate) barriers: u64,
+    /// Local (LDS) bytes moved.
+    pub(crate) local_bytes: u64,
+}
+
+impl std::ops::AddAssign for Observed {
+    fn add_assign(&mut self, o: Observed) {
+        self.read_bytes += o.read_bytes;
+        self.write_bytes += o.write_bytes;
+        self.barriers += o.barriers;
+        self.local_bytes += o.local_bytes;
+    }
+}
+
 /// Per-context sanitizer state, shared by the context, its queues, and
 /// every buffer shadow. `pub(crate)`: reached only through `Context`.
 pub(crate) struct SanitizeShared {
@@ -398,10 +427,10 @@ pub(crate) struct SanitizeShared {
     /// Global bytes observed this dispatch.
     read_bytes: AtomicU64,
     write_bytes: AtomicU64,
-    /// Max declared read-overcharge ratio this dispatch (f64 bits;
-    /// positive-float bit patterns order like the floats, so fetch_max
-    /// works).
-    declared_ratio_bits: AtomicU64,
+    /// Barriers and local bytes observed this dispatch, flushed by each
+    /// group's [`GroupSan`] when it drops.
+    barriers: AtomicU64,
+    local_bytes: AtomicU64,
     violations: Mutex<Vec<Violation>>,
     dropped: AtomicU64,
     dispatches: AtomicU64,
@@ -418,7 +447,8 @@ impl SanitizeShared {
             kernel: Mutex::new(String::new()),
             read_bytes: AtomicU64::new(0),
             write_bytes: AtomicU64::new(0),
-            declared_ratio_bits: AtomicU64::new(1.0f64.to_bits()),
+            barriers: AtomicU64::new(0),
+            local_bytes: AtomicU64::new(0),
             violations: Mutex::new(Vec::new()),
             dropped: AtomicU64::new(0),
             dispatches: AtomicU64::new(0),
@@ -440,8 +470,8 @@ impl SanitizeShared {
         kernel.clone_into(&mut self.kernel.lock().unwrap());
         self.read_bytes.store(0, Ordering::Relaxed);
         self.write_bytes.store(0, Ordering::Relaxed);
-        self.declared_ratio_bits
-            .store(1.0f64.to_bits(), Ordering::Relaxed);
+        self.barriers.store(0, Ordering::Relaxed);
+        self.local_bytes.store(0, Ordering::Relaxed);
         self.dispatches.fetch_add(1, Ordering::Relaxed);
         epoch
     }
@@ -451,69 +481,67 @@ impl SanitizeShared {
         self.active.store(false, Ordering::SeqCst);
     }
 
-    /// Audits observed vs charged global traffic for the finished dispatch.
-    pub(crate) fn audit(&self, kernel: &str, counters: &CostCounters) {
-        let (observed_reads, observed_writes, ratio) = self.dispatch_traffic();
-        self.audit_totals(kernel, counters, observed_reads, observed_writes, ratio);
-    }
-
-    /// The traffic observed since `begin_dispatch`: `(read_bytes,
-    /// write_bytes, max declared read-overcharge ratio)`.
+    /// What the groups of the current dispatch did since
+    /// `begin_dispatch`.
     ///
     /// The sliced-dispatch path ([`crate::queue::CommandQueue::run_sliced`])
-    /// harvests these after each slice and sums them, so the drift audit
-    /// runs once on the whole-dispatch totals at commit time. Auditing per
+    /// harvests this after each slice and sums it, so the drift audit runs
+    /// once on the whole-dispatch totals at commit time. Auditing per
     /// slice would false-positive: one slice may legitimately observe zero
     /// read bytes (e.g. a group range covering only border rows that store
-    /// constants) while the kernel's bulk charge for those groups is
-    /// positive — only the totals are required to balance.
-    pub(crate) fn dispatch_traffic(&self) -> (u64, u64, f64) {
-        (
-            self.read_bytes.load(Ordering::Relaxed),
-            self.write_bytes.load(Ordering::Relaxed),
-            f64::from_bits(self.declared_ratio_bits.load(Ordering::Relaxed)),
-        )
+    /// constants) while the declaration charges reads for those groups —
+    /// only the totals are required to balance.
+    pub(crate) fn observed(&self) -> Observed {
+        Observed {
+            read_bytes: self.read_bytes.load(Ordering::Relaxed),
+            write_bytes: self.write_bytes.load(Ordering::Relaxed),
+            barriers: self.barriers.load(Ordering::Relaxed),
+            local_bytes: self.local_bytes.load(Ordering::Relaxed),
+        }
     }
 
-    /// Audits explicit observed totals against charged counters. `audit`
-    /// delegates here with the current dispatch's accumulators; the sliced
-    /// commit path passes slice-summed totals instead.
-    pub(crate) fn audit_totals(
+    /// Audits what a dispatch did against the cost its declaration
+    /// charges. Writes, barriers and local bytes must match exactly; reads
+    /// may be deliberately overcharged up to the declared `ratio`
+    /// (modelling redundant window loads), never undercharged.
+    pub(crate) fn audit(
         &self,
         kernel: &str,
-        counters: &CostCounters,
-        observed_reads: u64,
-        observed_writes: u64,
+        declared: &CostCounters,
+        observed: &Observed,
         ratio: f64,
     ) {
-        let charged_reads = counters.global_read_scalar + counters.global_read_vector;
-        let charged_writes = counters.global_write_scalar + counters.global_write_vector;
-        if observed_writes != charged_writes {
-            self.record(Violation::AccountingDrift {
-                kernel: kernel.to_string(),
-                class: DriftClass::Write,
-                observed: observed_writes,
-                charged: charged_writes,
-            });
+        let charged_reads = declared.global_read_scalar + declared.global_read_vector;
+        let charged_writes = declared.global_write_scalar + declared.global_write_vector;
+        let exact = [
+            (DriftClass::Write, observed.write_bytes, charged_writes),
+            (DriftClass::Barriers, observed.barriers, declared.barriers),
+            (
+                DriftClass::LocalBytes,
+                observed.local_bytes,
+                declared.local_bytes,
+            ),
+        ];
+        for (class, observed, charged) in exact {
+            if observed != charged {
+                self.record(Violation::AccountingDrift {
+                    kernel: kernel.to_string(),
+                    class,
+                    observed,
+                    charged,
+                });
+            }
         }
-        // Reads may be deliberately overcharged up to the declared ratio
-        // (modelling redundant window loads), never undercharged.
-        let overcharged =
-            charged_reads != observed_reads && charged_reads as f64 > observed_reads as f64 * ratio;
-        if observed_reads > charged_reads || overcharged {
+        let reads = observed.read_bytes;
+        let overcharged = charged_reads != reads && charged_reads as f64 > reads as f64 * ratio;
+        if reads > charged_reads || overcharged {
             self.record(Violation::AccountingDrift {
                 kernel: kernel.to_string(),
                 class: DriftClass::Read,
-                observed: observed_reads,
+                observed: reads,
                 charged: charged_reads,
             });
         }
-    }
-
-    pub(crate) fn declare_ratio(&self, ratio: f64) {
-        debug_assert!(ratio >= 1.0 && ratio.is_finite());
-        self.declared_ratio_bits
-            .fetch_max(ratio.to_bits(), Ordering::Relaxed);
     }
 
     pub(crate) fn record(&self, v: Violation) {
@@ -738,6 +766,9 @@ pub(crate) struct GroupSan {
     phase: u64,
     lwriter: Vec<u64>,
     lreader: Vec<u64>,
+    /// Barriers and local bytes this group issued, flushed on drop.
+    barriers: u64,
+    local_bytes: u64,
 }
 
 impl GroupSan {
@@ -758,6 +789,8 @@ impl GroupSan {
             phase: 0,
             lwriter: Vec::new(),
             lreader: Vec::new(),
+            barriers: 0,
+            local_bytes: 0,
         }
     }
 
@@ -779,6 +812,7 @@ impl GroupSan {
     }
 
     pub(crate) fn on_barrier(&mut self) {
+        self.barriers += 1;
         self.phase += 1;
         // Only arm the divergence check once an item sweep has started; a
         // barrier before any item is trivially uniform.
@@ -794,10 +828,6 @@ impl GroupSan {
         self.lreader.resize(n, 0);
     }
 
-    pub(crate) fn declare_read_overcharge(&self, ratio: f64) {
-        self.shared.declare_ratio(ratio);
-    }
-
     #[inline]
     fn same_wavefront(&self, a: u64, b: u64) -> bool {
         a / self.shared.wavefront == b / self.shared.wavefront
@@ -806,6 +836,7 @@ impl GroupSan {
     /// Records a local read. Returns false when `idx` is out of bounds
     /// (the caller recovers by returning zero).
     pub(crate) fn local_read(&mut self, idx: usize, len: usize) -> bool {
+        self.local_bytes += 4;
         if idx >= len {
             self.shared.record(Violation::OobLocal {
                 kernel: self.shared.kernel_name(),
@@ -844,6 +875,7 @@ impl GroupSan {
     /// Records a local write. Returns false when `idx` is out of bounds
     /// (the caller recovers by dropping the store).
     pub(crate) fn local_write(&mut self, idx: usize, len: usize) -> bool {
+        self.local_bytes += 4;
         if idx >= len {
             self.shared.record(Violation::OobLocal {
                 kernel: self.shared.kernel_name(),
@@ -890,6 +922,17 @@ impl GroupSan {
             self.lwriter.resize(len, 0);
             self.lreader.resize(len, 0);
         }
+    }
+}
+
+impl Drop for GroupSan {
+    fn drop(&mut self) {
+        self.shared
+            .barriers
+            .fetch_add(self.barriers, Ordering::Relaxed);
+        self.shared
+            .local_bytes
+            .fetch_add(self.local_bytes, Ordering::Relaxed);
     }
 }
 
@@ -1092,28 +1135,27 @@ mod tests {
         let mut c = CostCounters::new();
         c.global_read_scalar = 32; // exact
         c.global_write_scalar = 4; // exact
-        s.audit("k", &c);
+        s.audit("k", &c, &s.observed(), 1.0);
         s.end_dispatch();
         assert!(s.report().is_clean(), "{}", s.report().summary());
 
-        // Overcharge reads without declaring: flagged.
+        // Overcharge reads without declaring a ratio: flagged.
         let e = s.begin_dispatch("k2");
         sh.on_read(e, 1, 0);
         let mut c = CostCounters::new();
         c.global_read_scalar = 40;
-        s.audit("k2", &c);
+        s.audit("k2", &c, &s.observed(), 1.0);
         s.end_dispatch();
         assert_eq!(s.report().violations.len(), 1);
 
-        // Same overcharge with a declared ratio: clean.
+        // Same overcharge within a declared ratio: clean.
         let s2 = shared();
         let sh2 = BufferShadow::new(Arc::clone(&s2), "b", 64, 4);
         let e = s2.begin_dispatch("k3");
         sh2.on_read(e, 1, 0);
-        s2.declare_ratio(10.0);
         let mut c = CostCounters::new();
         c.global_read_scalar = 40;
-        s2.audit("k3", &c);
+        s2.audit("k3", &c, &s2.observed(), 10.0);
         s2.end_dispatch();
         assert!(s2.report().is_clean(), "{}", s2.report().summary());
 
@@ -1124,9 +1166,42 @@ mod tests {
         }
         let mut c = CostCounters::new();
         c.global_read_scalar = 4;
-        s2.audit("k4", &c);
+        s2.audit("k4", &c, &s2.observed(), 10.0);
         s2.end_dispatch();
         assert_eq!(s2.report().violations.len(), 1);
+    }
+
+    #[test]
+    fn group_barriers_and_local_bytes_are_audited_exactly() {
+        let s = shared();
+        s.begin_dispatch("k");
+        {
+            let mut g = GroupSan::new(Arc::clone(&s), 1, 0, 64);
+            g.on_alloc_local(4);
+            g.begin_item(0);
+            assert!(g.local_write(0, 4));
+            g.on_barrier();
+            assert!(g.local_read(0, 4));
+        }
+        let observed = s.observed();
+        assert_eq!((observed.barriers, observed.local_bytes), (1, 8));
+        let mut c = CostCounters::new();
+        c.barriers = 1;
+        c.local_bytes = 8;
+        s.audit("k", &c, &observed, 1.0);
+        assert!(s.report().is_clean(), "{}", s.report().summary());
+        c.barriers = 2;
+        s.audit("k", &c, &observed, 1.0);
+        s.end_dispatch();
+        assert!(matches!(
+            s.report().violations[..],
+            [Violation::AccountingDrift {
+                class: DriftClass::Barriers,
+                observed: 1,
+                charged: 2,
+                ..
+            }]
+        ));
     }
 
     #[test]

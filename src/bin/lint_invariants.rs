@@ -6,33 +6,31 @@
 //! construct no longer trips the lint and banned calls smuggled into
 //! macro strings no longer hide from it.
 //!
-//! Ten rules, all load-bearing:
+//! Nine rules, all load-bearing (numbered as they were introduced; rule 2,
+//! "raw span accessors must bulk-charge", retired when kernel bodies
+//! stopped counting cost — every dispatch's cost is now its declaration):
 //!
 //! 1. Kernel and CPU-stage hot loops use the shared `math` helpers
 //!    (`math::fmin`/`fmax`/`clampf`), never `f32::min`/`f32::max`/
 //!    `.clamp(` — the std forms branch on NaN semantics and have drifted
 //!    CPU/GPU results before.
-//! 2. Any kernel file reading or writing device memory through the raw
-//!    (uncharged) span accessors must bulk-charge the traffic via
-//!    `charge_global_n`, or the timing model silently undercounts bytes.
 //! 3. Kernel shape preconditions are typed errors, not panics: no
 //!    `assert!`/`assert_eq!`/`assert_ne!` in non-test kernel code
 //!    (`debug_assert!` on internal invariants stays allowed).
 //! 4. The megapass (banded) executor never charges cost itself — banded
-//!    bit-identity rests on every cost flowing through the kernels' own
-//!    per-group accounting merged by `commit_sliced`.
+//!    bit-identity rests on every cost flowing through the declarations
+//!    `commit_sliced` commits.
 //! 5. Telemetry is observation-only: the metric/trace recording paths
 //!    never mutate the state they observe.
 //! 6. SIMD stays contained and cost-blind: `std::arch` intrinsics and
 //!    feature detection only under `gpu/kernels/simd/`, and the span
 //!    backends never touch the cost model (`charge_*`, `GroupCtx`).
-//! 7. Every `CommandQueue` kernel dispatch declares an `AccessSummary`:
-//!    raw `q.run(`/`q.run_sliced(` calls are confined to the two
-//!    sanctioned dispatch modules (`kernels/mod.rs`, `kernels/
-//!    reduction.rs`), and each such call site there is preceded by a
-//!    `declare_access(` within a few lines. This is the static half of
-//!    the `Context::with_access_required` guarantee: no dispatch path
-//!    can grow that bypasses the access-summary verifier.
+//! 7. Kernel dispatches stay in the sanctioned modules: raw `q.run(`/
+//!    `q.run_sliced(` calls are confined to the two dispatch modules
+//!    (`kernels/mod.rs`, `kernels/reduction.rs`). Every dispatch takes its
+//!    `Declaration` as an argument, so no path can run a kernel without
+//!    one; keeping the call sites few keeps every dispatch on the path
+//!    the frame program and the verifier describe.
 //! 8. Span recording is observation-only, like telemetry: the span
 //!    module and the attribution layer never mutate the state they
 //!    observe, and the queue's span hooks (any line touching the span
@@ -44,14 +42,14 @@
 //!    the kernels a plan runs — no `charge_*` calls, no simulated-clock
 //!    writes, no device-record mutation. Served pixels and simulated
 //!    seconds must be bit-identical to direct plan execution.
-//! 10. The schedule tuner (`core::tune`) predicts cost without ever
-//!     executing: no pipeline construction, plan preparation, queue
-//!     dispatch, or cost charging anywhere under `crates/core/src/tune/`.
-//!     The tuner's whole claim — thousands of candidates per second,
-//!     `.to_bits()`-identical to execution — rests on the predictor
-//!     replaying the timing model from closed-form counters; a single
-//!     smuggled execution would turn the model search back into
-//!     measure-by-running.
+//! 10. The schedule tuner (`core::tune`) and the frame program
+//!     (`core::gpu::program`) never execute: no pipeline construction,
+//!     plan preparation, queue dispatch, or cost charging anywhere under
+//!     `crates/core/src/tune/` or in `gpu/program.rs`. The tuner's whole
+//!     claim — thousands of candidates per second, `.to_bits()`-identical
+//!     to execution — rests on folding the timing model over the
+//!     program's closed-form counters; a single smuggled execution would
+//!     turn the model search back into measure-by-running.
 
 use std::path::{Path, PathBuf};
 
@@ -305,20 +303,6 @@ impl Lint {
         }
     }
 
-    /// Rule 2: raw span accessors without a bulk byte charge.
-    fn rule_uncharged_spans(&mut self, kernel_files: &[PathBuf]) {
-        for rel in kernel_files {
-            let s = self.read(rel);
-            let raw = ["read_into", "slice_raw", "set_span_raw"];
-            if raw.iter().any(|m| s.contains(m)) && !s.contains("charge_global_n") {
-                self.failures.push(format!(
-                    "lint: {} uses raw span accessors but never calls charge_global_n\n",
-                    rel.display()
-                ));
-            }
-        }
-    }
-
     /// Rule 3: kernel preconditions must not panic.
     fn rule_no_kernel_asserts(&mut self, kernel_files: &[PathBuf]) {
         for rel in kernel_files {
@@ -477,9 +461,10 @@ impl Lint {
         }
     }
 
-    /// Rule 10: the tuner is execution-free — `core::tune` never builds a
-    /// pipeline, prepares a plan, dispatches a queue command, or charges
-    /// cost. Prediction must stay a pure function of the counters.
+    /// Rule 10: the tuner and the frame program are execution-free —
+    /// they never build a pipeline, prepare a plan, dispatch a queue
+    /// command, or charge cost. Prediction must stay a pure function of
+    /// the counters.
     fn rule_tune_execution_free(&mut self, tune_files: &[PathBuf]) {
         for rel in tune_files {
             let s = self.read(rel);
@@ -502,53 +487,33 @@ impl Lint {
                 })
                 .collect();
             self.fail(
-                "schedule tuner executes a pipeline (core::tune must predict from closed-form \
-                 counters only — execution belongs in the caller's self-check)",
+                "schedule tuner or frame program executes a pipeline (core::tune and \
+                 core::gpu::program must stay closed-form — execution belongs in the caller's \
+                 self-check)",
                 rel,
                 &hits,
             );
         }
     }
 
-    /// Rule 7: every CommandQueue dispatch site declares an AccessSummary.
+    /// Rule 7: raw CommandQueue dispatches stay in the sanctioned modules.
     fn rule_declared_dispatches(&mut self, gpu_files: &[PathBuf], sanctioned: &[PathBuf]) {
-        let is_dispatch = |l: &str| {
-            l.contains("q.run(") || l.contains("q.run_sliced(") || l.contains(".run_sliced(")
-        };
-        for rel in gpu_files {
+        for rel in gpu_files.iter().filter(|rel| !sanctioned.contains(rel)) {
             let s = self.read(rel);
-            let ls = lines(&s, true);
-            if !sanctioned.contains(rel) {
-                let hits: Vec<_> = ls.into_iter().filter(|(_, l)| is_dispatch(l)).collect();
-                self.fail(
-                    "raw CommandQueue dispatch outside the sanctioned declared-access modules \
-                     (route kernels through gpu/kernels/mod.rs dispatch or declare_access first)",
-                    rel,
-                    &hits,
-                );
-            } else {
-                // Inside the sanctioned modules every dispatch must have a
-                // declare_access within the preceding few lines.
-                const WINDOW: usize = 15;
-                let mut hits = Vec::new();
-                for (idx, (n, l)) in ls.iter().enumerate() {
-                    if !is_dispatch(l) {
-                        continue;
-                    }
-                    let declared = ls[idx.saturating_sub(WINDOW)..=idx]
-                        .iter()
-                        .any(|(_, prev)| prev.contains("declare_access("));
-                    if !declared {
-                        hits.push((*n, *l));
-                    }
-                }
-                self.fail(
-                    "CommandQueue dispatch without a declare_access within the preceding lines \
-                     (every dispatch declares its verified AccessSummary)",
-                    rel,
-                    &hits,
-                );
-            }
+            let hits: Vec<_> = lines(&s, true)
+                .into_iter()
+                .filter(|(_, l)| {
+                    l.contains("q.run(")
+                        || l.contains("q.run_sliced(")
+                        || l.contains(".run_sliced(")
+                })
+                .collect();
+            self.fail(
+                "raw CommandQueue dispatch outside the sanctioned dispatch modules \
+                 (route kernels through gpu/kernels/mod.rs Launch::dispatch)",
+                rel,
+                &hits,
+            );
         }
     }
 }
@@ -572,7 +537,6 @@ fn run(root: &Path) -> i32 {
     hot.push(PathBuf::from("crates/core/src/cpu/stages.rs"));
 
     lint.rule_std_float(&hot);
-    lint.rule_uncharged_spans(&kernel_files);
     lint.rule_no_kernel_asserts(&kernel_files);
     lint.rule_megapass_charge_free(Path::new("crates/core/src/gpu/megapass.rs"));
     lint.rule_observation_only(&[
@@ -613,14 +577,15 @@ fn run(root: &Path) -> i32 {
         .collect();
     lint.rule_service_observation_only(&service_files);
 
-    let tune_files: Vec<PathBuf> = rust_files(&root.join("crates/core/src/tune"))
+    let mut closed_form: Vec<PathBuf> = rust_files(&root.join("crates/core/src/tune"))
         .into_iter()
         .map(|p| rel(&p))
         .collect();
-    lint.rule_tune_execution_free(&tune_files);
+    closed_form.push(PathBuf::from("crates/core/src/gpu/program.rs"));
+    lint.rule_tune_execution_free(&closed_form);
 
     if lint.failures.is_empty() {
-        println!("lint_invariants: OK (10 rules, token-aware)");
+        println!("lint_invariants: OK (9 rules, token-aware)");
         0
     } else {
         for f in &lint.failures {
@@ -715,17 +680,15 @@ mod tests {
         let root = std::env::temp_dir().join(format!("lint-fixture-{}", std::process::id()));
         let kernels = root.join("crates/core/src/gpu/kernels");
         std::fs::create_dir_all(&kernels).unwrap();
-        // Four violations: std clamp (rule 1), raw span without a charge
-        // (rule 2), a bare assert (rule 3), and an undeclared queue
-        // dispatch outside the sanctioned modules (rule 7). A comment
-        // mentioning `f32::min` must NOT count.
+        // Three violations: std clamp (rule 1), a bare assert (rule 3),
+        // and a queue dispatch outside the sanctioned modules (rule 7). A
+        // comment mentioning `f32::min` must NOT count.
         std::fs::write(
             kernels.join("bad.rs"),
             "// f32::min in prose is fine\n\
              fn k(x: f32) -> f32 {\n\
                  assert!(x > 0.0);\n\
-                 g.slice_raw(0, n);\n\
-                 q.run(&desc, &[], body);\n\
+                 q.run(&decl, &[], body);\n\
                  x.clamp(0.0, 1.0)\n\
              }\n",
         )

@@ -3,6 +3,7 @@
 //! Parsing and orchestration live here (unit-testable); the binary in
 //! `src/bin/sharpen.rs` is a thin wrapper.
 
+use std::cell::OnceCell;
 use std::path::PathBuf;
 
 use imagekit::{io, metrics, ImageF32};
@@ -178,13 +179,13 @@ options:
                     accounting drift); exits non-zero on any finding.
                     GPU single-frame only; results and simulated time are
                     unchanged — the overhead is wall-clock only
-  --verify-static   statically prove the dispatch schedule sound before
+  --verify-static   statically prove the frame's dispatches sound before
                     running — every kernel in-bounds, write-sets disjoint,
                     charged bytes within the closed-form overcharge bound,
-                    banded slices an exact partition of each grid — then
-                    require every live dispatch to declare its verified
-                    access summary (undeclared dispatch is a hard error).
-                    Pixels and simulated time are unchanged (GPU only)
+                    banded slices an exact partition of each grid — and
+                    print the proof's statistics. The run executes exactly
+                    the declarations proved. Pixels and simulated time are
+                    unchanged (GPU only)
 ";
 
 /// Usage text for `sharpen serve`.
@@ -607,31 +608,28 @@ fn autotune_search(
     )
 }
 
-fn sharpen_plane(cli: &CliArgs, plane: &ImageF32) -> Result<RunReport, String> {
+/// Sharpens one plane. Under `--verify-static` the first GPU plane proves
+/// its frame program before touching a single pixel (a failed proof
+/// aborts the run) and keeps the report in `proof`; every plane of a run
+/// shares the shape and configuration, so later planes reuse it.
+fn sharpen_plane(
+    cli: &CliArgs,
+    plane: &ImageF32,
+    proof: &OnceCell<StaticReport>,
+) -> Result<RunReport, String> {
     match cli.engine {
         Engine::Cpu => CpuPipeline::new(cli.params).run(plane),
         Engine::Gpu(preset) => {
             let (opts, tuning) = gpu_config_for(cli, preset, plane.width(), plane.height())?;
-            if cli.verify_static {
-                // Prove the whole dispatch schedule sound before touching
-                // a single pixel; a failed proof aborts the run.
-                verify_static(
-                    plane.width(),
-                    plane.height(),
-                    &opts,
-                    &tuning,
-                    schedule_of(cli),
-                )?;
+            if cli.verify_static && proof.get().is_none() {
+                let (w, h) = (plane.width(), plane.height());
+                let r = verify_static(w, h, &opts, &tuning, schedule_of(cli))?;
+                let _ = proof.set(r);
             }
             let ctx = if cli.sanitize {
                 Context::sanitized(preset.spec())
             } else {
                 Context::new(preset.spec())
-            };
-            let ctx = if cli.verify_static {
-                ctx.with_access_required()
-            } else {
-                ctx
             };
             let report = GpuPipeline::new(ctx.clone(), cli.params, opts)
                 .with_tuning(tuning)
@@ -705,6 +703,7 @@ pub fn run(cli: &CliArgs) -> Result<String, String> {
     }
     let ext = cli.input.extension().and_then(|e| e.to_str()).unwrap_or("");
     let mut summary = String::new();
+    let proof = OnceCell::new();
     let report: RunReport;
     let plane: ImageF32;
     match ext {
@@ -712,7 +711,7 @@ pub fn run(cli: &CliArgs) -> Result<String, String> {
             let img = io::read_pgm(&cli.input)
                 .map_err(|e| e.to_string())?
                 .to_f32();
-            report = sharpen_plane(cli, &img)?;
+            report = sharpen_plane(cli, &img, &proof)?;
             io::write_pgm(&cli.output, &report.output.to_u8()).map_err(|e| e.to_string())?;
             summary.push_str(&format!(
                 "sharpened {}x{} grayscale in {:.3} simulated ms\n",
@@ -729,13 +728,13 @@ pub fn run(cli: &CliArgs) -> Result<String, String> {
         }
         "ppm" => {
             let frame = io::read_ppm(&cli.input).map_err(|e| e.to_string())?;
-            struct PlaneSharpener<'a>(&'a CliArgs);
+            struct PlaneSharpener<'a>(&'a CliArgs, &'a OnceCell<StaticReport>);
             impl sharpness_core::color::Sharpener for PlaneSharpener<'_> {
                 fn sharpen(&self, plane: &ImageF32) -> Result<RunReport, String> {
-                    sharpen_plane(self.0, plane)
+                    sharpen_plane(self.0, plane, self.1)
                 }
             }
-            let color = sharpen_rgb(&PlaneSharpener(cli), &frame, cli.color)?;
+            let color = sharpen_rgb(&PlaneSharpener(cli, &proof), &frame, cli.color)?;
             io::write_ppm(&cli.output, &color.output).map_err(|e| e.to_string())?;
             summary.push_str(&format!(
                 "sharpened {}x{} colour frame ({:?}, {} plane runs) in {:.3} simulated ms\n",
@@ -748,7 +747,7 @@ pub fn run(cli: &CliArgs) -> Result<String, String> {
             // Trace/gantt/telemetry need a plane report; redo the luma
             // plane cheaply.
             let luma = frame.to_luma();
-            report = sharpen_plane(cli, &luma)?;
+            report = sharpen_plane(cli, &luma, &proof)?;
             plane = luma;
         }
         other => {
@@ -807,26 +806,12 @@ pub fn run(cli: &CliArgs) -> Result<String, String> {
         );
     }
     // Reaching this point with --verify-static means the proof succeeded
-    // (sharpen_plane aborts otherwise) and every live dispatch declared its
-    // summary; recompute the report for the stats line and metric gauges.
-    let static_report: Option<StaticReport> = if cli.verify_static && is_gpu {
-        let Engine::Gpu(preset) = cli.engine else {
-            unreachable!("--verify-static rejected with --cpu at parse time");
-        };
-        let (opts, tuning) = gpu_config_for(cli, preset, plane.width(), plane.height())?;
-        let r = verify_static(
-            plane.width(),
-            plane.height(),
-            &opts,
-            &tuning,
-            schedule_of(cli),
-        )?;
+    // (sharpen_plane aborts otherwise); report the statistics it kept.
+    let static_report: Option<StaticReport> = proof.get().copied();
+    if let Some(r) = &static_report {
         summary.push_str(&r.summary_line());
         summary.push('\n');
-        Some(r)
-    } else {
-        None
-    };
+    }
     if let Some(path) = &cli.metrics {
         let (_, tel, spans) = observed.as_ref().expect("observed when --metrics");
         let mut reg = MetricsRegistry::new();

@@ -2,11 +2,32 @@
 //! catch data races instead of silently corrupting results.
 
 use sharpness::prelude::*;
+use sharpness::simgpu::access::{AccessSummary, AccessWindow, BufRef, Declaration};
+use sharpness::simgpu::cost::CostCounters;
 use sharpness::simgpu::error::Error;
 use sharpness::simgpu::kernel::{items, KernelDesc};
 
 fn vctx() -> Context {
     Context::with_validation(DeviceSpec::firepro_w8000())
+}
+
+/// Declares a dispatch that stores each of the first `n` elements of
+/// `out` once.
+fn declare_writes(desc: KernelDesc, out: BufRef, n: usize) -> Declaration {
+    let total = desc.total_groups();
+    let mut s = AccessSummary::new(desc.name.clone(), 0..total, total);
+    s.push(AccessWindow::write(out, 0, n));
+    s.charge_global_n(0, 0, 4, 0, n as u64);
+    Declaration::new(desc, vec![s], CostCounters::new())
+}
+
+/// A declaration whose grid the queue must reject before anything runs.
+fn declare_grid(desc: KernelDesc) -> Declaration {
+    Declaration {
+        desc,
+        slices: Vec::new(),
+        counters: CostCounters::new(),
+    }
 }
 
 #[test]
@@ -15,9 +36,10 @@ fn racy_kernel_is_rejected_with_index() {
     let mut q = ctx.queue();
     let out = ctx.buffer::<f32>("out", 8);
     let w = out.write_view();
-    let desc = KernelDesc::new("racy", [32, 1], [8, 1]);
+    // The declaration is sound (eight distinct stores); the body is not.
+    let decl = declare_writes(KernelDesc::new("racy", [32, 1], [8, 1]), w.info(), 8);
     let err = q
-        .run(&desc, &[&out], |g| {
+        .run(&decl, &[&out], |g| {
             for l in items(g.group_size) {
                 g.store(&w, l[0] % 8, 1.0); // all groups hit the same slots
             }
@@ -38,8 +60,8 @@ fn race_free_kernel_passes_validation() {
     let mut q = ctx.queue();
     let out = ctx.buffer::<f32>("out", 32);
     let w = out.write_view();
-    let desc = KernelDesc::new("clean", [32, 1], [8, 1]);
-    q.run(&desc, &[&out], |g| {
+    let decl = declare_writes(KernelDesc::new("clean", [32, 1], [8, 1]), w.info(), 32);
+    q.run(&decl, &[&out], |g| {
         for l in items(g.group_size) {
             let i = g.global_id(l)[0];
             g.store(&w, i, i as f32);
@@ -66,11 +88,11 @@ fn bad_ndrange_reports_geometry() {
     let ctx = vctx();
     let mut q = ctx.queue();
     let desc = KernelDesc::new("bad", [100, 100], [16, 16]);
-    let err = q.run(&desc, &[], |_| {}).unwrap_err();
+    let err = q.run(&declare_grid(desc), &[], |_| {}).unwrap_err();
     assert!(matches!(err, Error::InvalidNdRange { .. }));
     let desc = KernelDesc::new("bad", [64, 64], [0, 16]);
     assert!(matches!(
-        q.run(&desc, &[], |_| {}),
+        q.run(&declare_grid(desc), &[], |_| {}),
         Err(Error::EmptyGroup { .. })
     ));
 }

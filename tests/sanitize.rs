@@ -115,13 +115,42 @@ fn fixture_ctx() -> Context {
     Context::sanitized(spec())
 }
 
+/// A fixture kernel's declaration: its global windows (charged exactly,
+/// as scalar traffic) and its barrier and local-memory totals.
+fn declare(desc: KernelDesc, windows: Vec<AccessWindow>, barriers: u64, local: u64) -> Declaration {
+    let total = desc.total_groups();
+    let mut s = AccessSummary::new(desc.name.clone(), 0..total, total);
+    for w in windows {
+        match w.role {
+            Role::Read => s.charge_global_n(4, 0, 0, 0, w.events()),
+            Role::Write => s.charge_global_n(0, 0, 4, 0, w.events()),
+        }
+        s.push(w);
+    }
+    let mut work = CostCounters::new();
+    work.barriers = barriers;
+    work.local_bytes = local;
+    Declaration::new(desc, vec![s], work)
+}
+
+/// A one-element store into `view`'s buffer.
+fn store_one(view: &GlobalWriteView<f32>, index: usize) -> AccessWindow {
+    AccessWindow::write(view.info(), index, 1)
+}
+
 #[test]
 fn fixture_global_write_write_race_is_flagged() {
     let ctx = fixture_ctx();
     let mut q = ctx.queue();
     let out = ctx.buffer::<f32>("out", 64);
     let w = out.write_view();
-    q.run(&KernelDesc::new_1d("ww_race", 64, 64), &[&out], move |g| {
+    let decl = declare(
+        KernelDesc::new_1d("ww_race", 64, 64),
+        vec![store_one(&w, 0)],
+        0,
+        0,
+    );
+    q.run(&decl, &[&out], move |g| {
         for l in items(g.group_size) {
             g.begin_item(l);
             // Every item stores to element 0: 63 write/write conflicts.
@@ -146,7 +175,9 @@ fn fixture_global_read_write_race_is_flagged() {
     let mut q = ctx.queue();
     let buf = ctx.buffer::<f32>("rw", 64);
     let (r, w) = (buf.view(), buf.write_view());
-    q.run(&KernelDesc::new_1d("rw_race", 64, 64), &[&buf], move |g| {
+    let windows = vec![AccessWindow::read(r.info(), 5, 1), store_one(&w, 5)];
+    let decl = declare(KernelDesc::new_1d("rw_race", 64, 64), windows, 0, 0);
+    q.run(&decl, &[&buf], move |g| {
         for l in items(g.group_size) {
             g.begin_item(l);
             if l[0] == 0 {
@@ -178,18 +209,20 @@ fn fixture_local_race_across_wavefronts_is_flagged() {
     let w = out.write_view();
     // Lane 0 (wavefront 0) writes local[0]; lane 64 (wavefront 1) reads it
     // in the same barrier phase — not lockstep, so it is a real race.
-    q.run(
-        &KernelDesc::new_1d("local_race", 128, 128),
-        &[&out],
-        move |g| {
-            g.alloc_local(128);
-            g.begin_item([0, 0]);
-            g.local_write(0, 3.0);
-            g.begin_item([64, 0]);
-            let v = g.local_read(0);
-            g.store(&w, 0, v);
-        },
-    )
+    let decl = declare(
+        KernelDesc::new_1d("local_race", 128, 128),
+        vec![store_one(&w, 0)],
+        0,
+        8,
+    );
+    q.run(&decl, &[&out], move |g| {
+        g.alloc_local(128);
+        g.begin_item([0, 0]);
+        g.local_write(0, 3.0);
+        g.begin_item([64, 0]);
+        let v = g.local_read(0);
+        g.store(&w, 0, v);
+    })
     .unwrap();
     let report = ctx.sanitize_report().unwrap();
     assert!(report.violations.iter().any(|v| matches!(
@@ -210,18 +243,20 @@ fn fixture_lockstep_local_access_is_not_flagged() {
     let w = out.write_view();
     // Lanes 0 and 32 share wavefront 0: same-phase accesses execute in
     // lockstep and are exempt (the reduction kernels' unrolled tail).
-    q.run(
-        &KernelDesc::new_1d("lockstep", 128, 128),
-        &[&out],
-        move |g| {
-            g.alloc_local(128);
-            g.begin_item([32, 0]);
-            g.local_write(0, 3.0);
-            g.begin_item([0, 0]);
-            let v = g.local_read(0);
-            g.store(&w, 0, v);
-        },
-    )
+    let decl = declare(
+        KernelDesc::new_1d("lockstep", 128, 128),
+        vec![store_one(&w, 0)],
+        0,
+        8,
+    );
+    q.run(&decl, &[&out], move |g| {
+        g.alloc_local(128);
+        g.begin_item([32, 0]);
+        g.local_write(0, 3.0);
+        g.begin_item([0, 0]);
+        let v = g.local_read(0);
+        g.store(&w, 0, v);
+    })
     .unwrap();
     assert!(ctx.sanitize_report().unwrap().is_clean());
 }
@@ -232,7 +267,14 @@ fn fixture_barrier_separated_local_reuse_is_not_flagged() {
     let mut q = ctx.queue();
     let out = ctx.buffer::<f32>("out", 1);
     let w = out.write_view();
-    q.run(&KernelDesc::new_1d("phases", 128, 128), &[&out], move |g| {
+    // 128 local stores, one barrier, one local load, one global store.
+    let decl = declare(
+        KernelDesc::new_1d("phases", 128, 128),
+        vec![store_one(&w, 0)],
+        1,
+        4 * 129,
+    );
+    q.run(&decl, &[&out], move |g| {
         g.alloc_local(128);
         for l in items(g.group_size) {
             g.begin_item(l);
@@ -255,7 +297,9 @@ fn fixture_global_oob_is_flagged_and_recovered() {
     let (r, w) = (buf.view(), buf.write_view());
     // Both the read and the write land past the end; under sanitize the
     // dispatch still completes (read yields 0.0, write is dropped).
-    q.run(&KernelDesc::new_1d("oob", 64, 64), &[&buf], move |g| {
+    // The declaration stays in bounds; only the body strays.
+    let decl = declare(KernelDesc::new_1d("oob", 64, 64), Vec::new(), 0, 0);
+    q.run(&decl, &[&buf], move |g| {
         g.begin_item([0, 0]);
         let v = g.load(&r, 100);
         g.store(&w, 200, v + 1.0);
@@ -288,17 +332,19 @@ fn fixture_local_oob_is_flagged_and_recovered() {
     let mut q = ctx.queue();
     let out = ctx.buffer::<f32>("out", 1);
     let w = out.write_view();
-    q.run(
-        &KernelDesc::new_1d("oob_local", 64, 64),
-        &[&out],
-        move |g| {
-            g.alloc_local(16);
-            g.begin_item([0, 0]);
-            let v = g.local_read(99);
-            g.local_write(77, 1.0);
-            g.store(&w, 0, v);
-        },
-    )
+    let decl = declare(
+        KernelDesc::new_1d("oob_local", 64, 64),
+        vec![store_one(&w, 0)],
+        0,
+        8,
+    );
+    q.run(&decl, &[&out], move |g| {
+        g.alloc_local(16);
+        g.begin_item([0, 0]);
+        let v = g.local_read(99);
+        g.local_write(77, 1.0);
+        g.store(&w, 0, v);
+    })
     .unwrap();
     let report = ctx.sanitize_report().unwrap();
     assert!(report.violations.iter().any(|v| matches!(
@@ -327,23 +373,25 @@ fn fixture_divergent_barrier_is_flagged() {
     let mut q = ctx.queue();
     let out = ctx.buffer::<f32>("out", 64);
     let w = out.write_view();
-    q.run(
-        &KernelDesc::new_1d("div_barrier", 64, 64),
-        &[&out],
-        move |g| {
-            g.alloc_local(64);
-            for l in items(g.group_size) {
-                g.begin_item(l);
-                g.local_write(l[0], 1.0);
-                if l[0] < 3 {
-                    // Item-dependent barrier: items 3.. never reach it.
-                    g.barrier();
-                }
-                let v = g.local_read(l[0]);
-                g.store(&w, l[0], v);
+    let decl = declare(
+        KernelDesc::new_1d("div_barrier", 64, 64),
+        vec![AccessWindow::write(w.info(), 0, 64)],
+        3,
+        4 * 128,
+    );
+    q.run(&decl, &[&out], move |g| {
+        g.alloc_local(64);
+        for l in items(g.group_size) {
+            g.begin_item(l);
+            g.local_write(l[0], 1.0);
+            if l[0] < 3 {
+                // Item-dependent barrier: items 3.. never reach it.
+                g.barrier();
             }
-        },
-    )
+            let v = g.local_read(l[0]);
+            g.store(&w, l[0], v);
+        }
+    })
     .unwrap();
     let report = ctx.sanitize_report().unwrap();
     assert!(report
@@ -359,16 +407,18 @@ fn fixture_uncharged_reads_are_flagged_as_drift() {
     let src = ctx.buffer_from("src", &[1.0f32; 32]);
     let out = ctx.buffer::<f32>("out", 1);
     let (r, w) = (src.view(), out.write_view());
-    q.run(
-        &KernelDesc::new_1d("drift_under", 64, 64),
-        &[&out],
-        move |g| {
-            g.begin_item([0, 0]);
-            // Raw accessor without a matching charge: observed > charged.
-            let v = r.get_raw(3);
-            g.store(&w, 0, v);
-        },
-    )
+    // Declares only the store; the body also reads: observed > declared.
+    let decl = declare(
+        KernelDesc::new_1d("drift_under", 64, 64),
+        vec![store_one(&w, 0)],
+        0,
+        0,
+    );
+    q.run(&decl, &[&out], move |g| {
+        g.begin_item([0, 0]);
+        let v = r.get_raw(3);
+        g.store(&w, 0, v);
+    })
     .unwrap();
     let report = ctx.sanitize_report().unwrap();
     assert!(report.violations.iter().any(|v| matches!(
@@ -386,16 +436,19 @@ fn fixture_phantom_charges_are_flagged_as_drift() {
     let mut q = ctx.queue();
     let out = ctx.buffer::<f32>("out", 1);
     let w = out.write_view();
-    q.run(
-        &KernelDesc::new_1d("drift_over", 64, 64),
-        &[&out],
-        move |g| {
-            g.begin_item([0, 0]);
-            g.store(&w, 0, 1.0);
-            // Charges write traffic that never happened: charged > observed.
-            g.charge_global_n(0, 0, 4, 0, 10);
-        },
-    )
+    // The declared counters charge write traffic that never happens:
+    // declared > observed.
+    let mut decl = declare(
+        KernelDesc::new_1d("drift_over", 64, 64),
+        vec![store_one(&w, 0)],
+        0,
+        0,
+    );
+    decl.counters.global_write_scalar += 40;
+    q.run(&decl, &[&out], move |g| {
+        g.begin_item([0, 0]);
+        g.store(&w, 0, 1.0);
+    })
     .unwrap();
     let report = ctx.sanitize_report().unwrap();
     assert!(report.violations.iter().any(|v| matches!(
@@ -405,6 +458,43 @@ fn fixture_phantom_charges_are_flagged_as_drift() {
             ..
         }
     )));
+}
+
+#[test]
+fn fixture_wrong_barrier_count_is_flagged_as_drift() {
+    let ctx = fixture_ctx();
+    let mut q = ctx.queue();
+    let out = ctx.buffer::<f32>("out", 64);
+    let w = out.write_view();
+    // One barrier per group, declared as two.
+    let decl = declare(
+        KernelDesc::new_1d("drift_barrier", 64, 64),
+        vec![AccessWindow::write(w.info(), 0, 64)],
+        2,
+        0,
+    );
+    q.run(&decl, &[&out], move |g| {
+        g.barrier();
+        for l in items(g.group_size) {
+            g.begin_item(l);
+            g.store(&w, l[0], 1.0);
+        }
+    })
+    .unwrap();
+    let report = ctx.sanitize_report().unwrap();
+    assert!(
+        report.violations.iter().any(|v| matches!(
+            v,
+            Violation::AccountingDrift {
+                class: DriftClass::Barriers,
+                observed: 1,
+                charged: 2,
+                ..
+            }
+        )),
+        "{}",
+        report.summary()
+    );
 }
 
 #[test]
@@ -418,7 +508,9 @@ fn fixture_uninit_read_is_flagged_in_strict_mode() {
     let src = ctx.buffer::<f32>("never_written", 16);
     let out = ctx.buffer::<f32>("out", 1);
     let (r, w) = (src.view(), out.write_view());
-    q.run(&KernelDesc::new_1d("uninit", 64, 64), &[&out], move |g| {
+    let windows = vec![AccessWindow::read(r.info(), 4, 1), store_one(&w, 0)];
+    let decl = declare(KernelDesc::new_1d("uninit", 64, 64), windows, 0, 0);
+    q.run(&decl, &[&out], move |g| {
         g.begin_item([0, 0]);
         let v = g.load(&r, 4);
         g.store(&w, 0, v);
@@ -439,15 +531,17 @@ fn unsanitized_oob_store_returns_kernel_panic_error() {
     let mut q = ctx.queue();
     let buf = ctx.buffer::<f32>("small", 8);
     let w = buf.write_view();
+    let decl = declare(
+        KernelDesc::new_1d("oob_panic", 64, 64),
+        vec![store_one(&w, 0)],
+        0,
+        0,
+    );
     let err = q
-        .run(
-            &KernelDesc::new_1d("oob_panic", 64, 64),
-            &[&buf],
-            move |g| {
-                g.begin_item([0, 0]);
-                g.store(&w, 999, 1.0);
-            },
-        )
+        .run(&decl, &[&buf], move |g| {
+            g.begin_item([0, 0]);
+            g.store(&w, 999, 1.0);
+        })
         .unwrap_err();
     match err {
         Error::KernelPanic { kernel, message } => {
@@ -461,7 +555,13 @@ fn unsanitized_oob_store_returns_kernel_panic_error() {
     let before = q.records().len();
     let ok = ctx.buffer::<f32>("ok", 64);
     let w2 = ok.write_view();
-    q.run(&KernelDesc::new_1d("good", 64, 64), &[&ok], move |g| {
+    let decl = declare(
+        KernelDesc::new_1d("good", 64, 64),
+        vec![AccessWindow::write(w2.info(), 0, 64)],
+        0,
+        0,
+    );
+    q.run(&decl, &[&ok], move |g| {
         for l in items(g.group_size) {
             g.begin_item(l);
             g.store(&w2, l[0], 1.0);
@@ -512,7 +612,9 @@ fn recycled_slabs_carry_no_stale_initialised_state() {
     let out = ctx.buffer::<f32>("out", 1);
     let (r, w) = (b.view(), out.write_view());
     let mut q = ctx.queue();
-    q.run(&KernelDesc::new_1d("stale", 64, 64), &[&out], move |g| {
+    let windows = vec![AccessWindow::read(r.info(), 0, 1), store_one(&w, 0)];
+    let decl = declare(KernelDesc::new_1d("stale", 64, 64), windows, 0, 0);
+    q.run(&decl, &[&out], move |g| {
         g.begin_item([0, 0]);
         let v = g.load(&r, 0);
         g.store(&w, 0, v);

@@ -57,7 +57,7 @@ fn static_sweep_covers_border_crossover() {
 }
 
 fn dynamic_log(opts: &OptConfig, schedule: Schedule, w: usize, h: usize) -> Vec<AccessSummary> {
-    let ctx = Context::with_validation(DeviceSpec::firepro_w8000()).with_access_required();
+    let ctx = Context::with_validation(DeviceSpec::firepro_w8000());
     let img = generate::natural(w, h, 17);
     let mut plan = GpuPipeline::new(ctx, SharpnessParams::default(), *opts)
         .with_schedule(schedule)
@@ -67,8 +67,8 @@ fn dynamic_log(opts: &OptConfig, schedule: Schedule, w: usize, h: usize) -> Vec<
     plan.take_access_log()
 }
 
-/// Agreement: a sanitized live run under `with_access_required` declares
-/// exactly the summaries the static enumerator predicts — same kernels,
+/// Agreement: a live run declares exactly the summaries the static
+/// enumerator predicts — same kernels,
 /// same slice partition, same windows, same charges, same ratios, in the
 /// same commit order. Any drift between the executor and the static
 /// schedule model fails here.
@@ -105,9 +105,10 @@ fn static_enumeration_matches_dynamic_declarations() {
 }
 
 /// Full cross-validation under the shadow-execution sanitizer: every
-/// config runs with the sanitizer auditing actual memory traffic AND the
-/// access requirement on, and the declared summaries still agree with the
-/// static enumeration byte for byte. This is the "summaries cannot rot"
+/// config runs with the sanitizer auditing actual memory traffic,
+/// barriers and local-memory bytes against the declarations, and the
+/// declared summaries still agree with the static enumeration byte for
+/// byte. This is the "summaries cannot rot"
 /// guarantee: a declaration the kernel's real accesses outgrow is caught
 /// by the sanitizer, and a schedule the enumerator mispredicts is caught
 /// by the agreement check. Run by `ci.sh --full`.
@@ -123,7 +124,7 @@ fn sanitized_sweep_cross_validates_declarations() {
     cases.push((1001, 701, OptConfig::all()));
     for (w, h, opts) in cases {
         for schedule in [Schedule::Monolithic, Schedule::Banded(64)] {
-            let ctx = Context::sanitized(DeviceSpec::firepro_w8000()).with_access_required();
+            let ctx = Context::sanitized(DeviceSpec::firepro_w8000());
             let img = generate::natural(w, h, 17);
             let mut plan = GpuPipeline::new(ctx.clone(), SharpnessParams::default(), opts)
                 .with_schedule(schedule)
@@ -143,9 +144,8 @@ fn sanitized_sweep_cross_validates_declarations() {
     }
 }
 
-/// Declaring access summaries (and verifying them on every dispatch) is
-/// observation-only: pixels and simulated seconds are bit-identical with
-/// the requirement on or off.
+/// Verifying declarations on a validating context is observation-only:
+/// pixels and simulated seconds are bit-identical to a plain context.
 #[test]
 fn access_verification_is_observation_only() {
     let img = generate::natural(167, 103, 23);
@@ -160,7 +160,7 @@ fn access_verification_is_observation_only() {
             .run(&img)
             .unwrap();
             let checked = GpuPipeline::new(
-                Context::with_validation(DeviceSpec::firepro_w8000()).with_access_required(),
+                Context::with_validation(DeviceSpec::firepro_w8000()),
                 SharpnessParams::default(),
                 opts,
             )
