@@ -38,7 +38,6 @@
 //!
 //! [`CommandQueue::commit_sliced`]: simgpu::queue::CommandQueue::commit_sliced
 
-use imagekit::ImageF32;
 use simgpu::queue::{CommandQueue, SlicedDispatch};
 use simgpu::span::SpanKind;
 
@@ -54,7 +53,7 @@ use crate::gpu::kernels::sobel::{sobel_scalar_launch, sobel_vec4_launch};
 use crate::gpu::kernels::upscale::{upscale_center_scalar_launch, upscale_center_vec4_launch};
 use crate::gpu::kernels::{Launch, GROUP_2D};
 use crate::gpu::opts::OptConfig;
-use crate::gpu::pipeline::{FrameResources, GpuPipeline};
+use crate::gpu::pipeline::{FrameResources, FrameSource, GpuPipeline, RowSink};
 use crate::gpu::program::FrameProgram;
 use crate::params::{device_stride, SCALE};
 
@@ -174,9 +173,9 @@ pub(crate) fn run_frame_banded(
     q: &mut CommandQueue,
     res: &mut FrameResources,
     prog: &FrameProgram,
-    orig: &ImageF32,
+    src: FrameSource<'_>,
     mean_override: Option<f32>,
-    out: &mut [f32],
+    sink: RowSink<'_>,
     band_rows: usize,
 ) -> Result<(), String> {
     let (w, h, ws) = (res.w, res.h, res.ws);
@@ -204,7 +203,7 @@ pub(crate) fn run_frame_banded(
 
     // ---- uploads (Section V-A), identical records -----------------------
     let ph = q.span_open(SpanKind::Phase, "upload");
-    pipe.upload_frame(q, res, orig)?;
+    pipe.upload_frame(q, res, src)?;
     q.span_close(ph);
     let (padded_src, main_src) = res.sources();
 
@@ -425,7 +424,7 @@ pub(crate) fn run_frame_banded(
 
     // ---- readback, identical records ------------------------------------
     let ph = q.span_open(SpanKind::Phase, "readback");
-    let r = pipe.readback_final(q, res, out);
+    let r = pipe.readback_final(q, res, sink);
     q.span_close(ph);
     r
 }

@@ -16,7 +16,9 @@
 //! declaration of the frame's [`FrameProgram`], whose counters are what
 //! the queue commits.
 
-use imagekit::ImageF32;
+use imagekit::image::quantize;
+use imagekit::metrics::GradientEnergy;
+use imagekit::{ImageF32, ImageU8};
 use simgpu::buffer::Buffer;
 use simgpu::context::Context;
 use simgpu::queue::{CommandKind, CommandQueue};
@@ -40,7 +42,7 @@ use crate::gpu::kernels::{Launch, SrcImage};
 use crate::gpu::opts::{OptConfig, Tuning};
 use crate::gpu::program::{border_host_counters, host_reduction_counters, FrameProgram};
 use crate::params::{check_shape, device_stride, SharpnessParams, SCALE};
-use crate::report::{RunReport, StageRecord};
+use crate::report::{RunReport, StageRecord, U8Report};
 
 use crate::gpu::megapass::Schedule;
 
@@ -176,7 +178,8 @@ impl GpuPipeline {
         let prog = self.program(res.w, res.h)?;
         let mut q = self.ctx.queue();
         let mut out = vec![0.0f32; res.n];
-        self.run_frame(&mut q, &mut res, &prog, orig, mean_override, &mut out)?;
+        let (src, mean) = (FrameSource::F32(orig), mean_override);
+        self.run_frame(&mut q, &mut res, &prog, src, mean, &mut into_f32(&mut out))?;
         Ok(report_from_queue(&q, orig.width(), orig.height(), out))
     }
 
@@ -198,7 +201,8 @@ impl GpuPipeline {
         let prog = self.program(res.w, res.h)?;
         let mut q = self.ctx.queue();
         let mut out = vec![0.0f32; res.n];
-        self.run_frame(&mut q, &mut res, &prog, orig, None, &mut out)?;
+        let src = FrameSource::F32(orig);
+        self.run_frame(&mut q, &mut res, &prog, src, None, &mut into_f32(&mut out))?;
         let mut tel = crate::telemetry::FrameTelemetry::collect(
             q.records(),
             q.device(),
@@ -233,24 +237,22 @@ impl GpuPipeline {
     }
 
     /// Executes one frame of `prog` against pre-allocated resources,
-    /// recording commands on `q` (which the caller has reset) and writing
-    /// the sharpened pixels into `out`, under the configured [`Schedule`].
+    /// recording commands on `q` (which the caller has reset) and handing
+    /// the sharpened rows to `sink`, under the configured [`Schedule`].
     fn run_frame(
         &self,
         q: &mut CommandQueue,
         res: &mut FrameResources,
         prog: &FrameProgram,
-        orig: &ImageF32,
+        src: FrameSource<'_>,
         mean_override: Option<f32>,
-        out: &mut [f32],
+        sink: RowSink<'_>,
     ) -> Result<(), String> {
-        if (orig.width(), orig.height()) != (res.w, res.h) {
+        let (w, h) = src.shape();
+        if (w, h) != (res.w, res.h) {
             return Err(format!(
-                "frame is {}x{}, plan prepared for {}x{}",
-                orig.width(),
-                orig.height(),
-                res.w,
-                res.h
+                "frame is {w}x{h}, plan prepared for {}x{}",
+                res.w, res.h
             ));
         }
         // The frame scope roots every schedule's span tree; disabled spans
@@ -258,16 +260,16 @@ impl GpuPipeline {
         let frame_span = q.span_open(SpanKind::Frame, "frame");
         let result = match self.schedule {
             Schedule::Monolithic => {
-                self.run_frame_monolithic(q, res, prog, orig, mean_override, out)
+                self.run_frame_monolithic(q, res, prog, src, mean_override, sink)
             }
             Schedule::Banded(rows) => crate::gpu::megapass::run_frame_banded(
                 self,
                 q,
                 res,
                 prog,
-                orig,
+                src,
                 mean_override,
-                out,
+                sink,
                 rows,
             ),
         };
@@ -282,7 +284,7 @@ impl GpuPipeline {
         &self,
         q: &mut CommandQueue,
         res: &mut FrameResources,
-        orig: &ImageF32,
+        src: FrameSource<'_>,
     ) -> Result<(), String> {
         let (w, h, pw) = (res.w, res.h, res.pw);
         // The padded buffer's one-pixel border is zeroed at allocation and
@@ -290,8 +292,9 @@ impl GpuPipeline {
         // interior), so reuse across frames preserves the zero padding.
         if self.opts.data_transfer {
             // One rect-write places the original inside the pre-zeroed
-            // padded buffer: padding happens during the transfer.
-            q.enqueue_write_rect(&res.padded, pw, 1, 1, orig.pixels(), w, h)
+            // padded buffer: padding (and widening a u8 source) happens
+            // during the transfer.
+            q.enqueue_write_rect_rows(&res.padded, pw, 1, 1, w, h, |y, dst| src.row_into(y, dst))
                 .map_err(|e| e.to_string())?;
         } else {
             // Base: the host pads (line-by-line copy), then both matrices
@@ -304,14 +307,15 @@ impl GpuPipeline {
                 let mut g = q.map_write(&res.padded).map_err(|e| e.to_string())?;
                 let dst = g.as_mut_slice();
                 for y in 0..h {
-                    dst[(y + 1) * pw + 1..(y + 1) * pw + 1 + w]
-                        .copy_from_slice(&orig.pixels()[y * w..(y + 1) * w]);
+                    src.row_into(y, &mut dst[(y + 1) * pw + 1..(y + 1) * pw + 1 + w]);
                 }
             }
             let ob = res.original.as_ref().expect("base path allocates original");
             {
                 let mut g = q.map_write(ob).map_err(|e| e.to_string())?;
-                g.as_mut_slice().copy_from_slice(orig.pixels());
+                for (y, dst) in g.as_mut_slice().chunks_exact_mut(w).enumerate() {
+                    src.row_into(y, dst);
+                }
             }
         }
         self.sync(q);
@@ -331,9 +335,9 @@ impl GpuPipeline {
         q: &mut CommandQueue,
         res: &mut FrameResources,
         prog: &FrameProgram,
-        orig: &ImageF32,
+        src: FrameSource<'_>,
         mean_override: Option<f32>,
-        out: &mut [f32],
+        sink: RowSink<'_>,
     ) -> Result<(), String> {
         let (w, h) = (res.w, res.h);
         let ws = res.ws;
@@ -343,7 +347,7 @@ impl GpuPipeline {
 
         // ---- uploads (Section V-A) ------------------------------------
         let ph = q.span_open(SpanKind::Phase, "upload");
-        self.upload_frame(q, res, orig)?;
+        self.upload_frame(q, res, src)?;
         q.span_close(ph);
         let (padded_src, main_src) = res.sources();
 
@@ -475,7 +479,7 @@ impl GpuPipeline {
 
         // ---- readback -------------------------------------------------------
         let ph = q.span_open(SpanKind::Phase, "readback");
-        let r = self.readback_final(q, res, out);
+        let r = self.readback_final(q, res, sink);
         q.span_close(ph);
         r
     }
@@ -500,28 +504,34 @@ impl GpuPipeline {
     }
 
     /// The end-of-frame `finish` plus the final-image readback in the
-    /// transfer mode the config selects (schedule-invariant records).
+    /// transfer mode the config selects (schedule-invariant records),
+    /// handing `sink` the image's rows top to bottom straight out of the
+    /// device buffer.
     pub(crate) fn readback_final(
         &self,
         q: &mut CommandQueue,
         res: &FrameResources,
-        out: &mut [f32],
+        sink: RowSink<'_>,
     ) -> Result<(), String> {
         let (w, h, ws, n) = (res.w, res.h, res.ws, res.n);
         q.finish();
-        if ws == w {
-            self.read_back(q, &res.finalbuf, &mut out[..n])?;
-        } else if self.opts.data_transfer {
+        if !self.opts.data_transfer {
+            let guard = q.map_read(&res.finalbuf).map_err(|e| e.to_string())?;
+            for (y, row) in guard.as_slice().chunks(ws).take(h).enumerate() {
+                sink(y, &row[..w]);
+            }
+        } else if ws == w {
+            q.enqueue_read_with(&res.finalbuf, n, |s| {
+                for (y, row) in s.chunks_exact(w).enumerate() {
+                    sink(y, row);
+                }
+            })
+            .map_err(|e| e.to_string())?;
+        } else {
             // Rect read crops the stride padding during the transfer, the
             // mirror of the rect-write upload.
-            q.enqueue_read_rect(&res.finalbuf, ws, 0, 0, &mut out[..n], w, h)
+            q.enqueue_read_rect_rows(&res.finalbuf, ws, 0, 0, w, h, sink)
                 .map_err(|e| e.to_string())?;
-        } else {
-            let guard = q.map_read(&res.finalbuf).map_err(|e| e.to_string())?;
-            let s = guard.as_slice();
-            for y in 0..h {
-                out[y * w..(y + 1) * w].copy_from_slice(&s[y * ws..y * ws + w]);
-            }
         }
         Ok(())
     }
@@ -666,6 +676,43 @@ impl GpuPipeline {
             Ok(sum / n as f32)
         }
     }
+}
+
+/// Where a frame's pixels come from.
+#[derive(Clone, Copy)]
+pub(crate) enum FrameSource<'a> {
+    F32(&'a ImageF32),
+    /// 8-bit pixels, widened to f32 row by row as they are uploaded.
+    U8(&'a ImageU8),
+}
+
+impl FrameSource<'_> {
+    fn shape(&self) -> (usize, usize) {
+        match self {
+            FrameSource::F32(img) => (img.width(), img.height()),
+            FrameSource::U8(img) => (img.width(), img.height()),
+        }
+    }
+
+    /// Writes row `y` of the frame into `dst` as f32.
+    fn row_into(&self, y: usize, dst: &mut [f32]) {
+        match self {
+            FrameSource::F32(img) => dst.copy_from_slice(img.row(y)),
+            FrameSource::U8(img) => {
+                for (d, &v) in dst.iter_mut().zip(img.row(y)) {
+                    *d = f32::from(v);
+                }
+            }
+        }
+    }
+}
+
+/// Where the final image goes: a consumer of its rows, top to bottom.
+pub(crate) type RowSink<'a> = &'a mut dyn FnMut(usize, &[f32]);
+
+/// The sink that copies each row into a row-major `w`-wide f32 image.
+fn into_f32(out: &mut [f32]) -> impl FnMut(usize, &[f32]) + '_ {
+    |y, row| out[y * row.len()..(y + 1) * row.len()].copy_from_slice(row)
 }
 
 /// Builds a [`RunReport`] from the queue's recorded commands.
@@ -866,8 +913,10 @@ impl PipelinePlan {
             ));
         }
         self.q.reset();
+        let src = FrameSource::F32(orig);
+        let sink = &mut into_f32(out);
         self.pipe
-            .run_frame(&mut self.q, &mut self.res, &self.prog, orig, mean, out)?;
+            .run_frame(&mut self.q, &mut self.res, &self.prog, src, mean, sink)?;
         let mut c = crate::gpu::batch::FrameComponents {
             upload_s: 0.0,
             compute_s: 0.0,
@@ -881,6 +930,42 @@ impl PipelinePlan {
             }
         }
         Ok(c)
+    }
+
+    /// Runs one 8-bit frame through the u8 transfer edge: each row is
+    /// widened to f32 while the padded upload writes it, and each output
+    /// row is quantized (see [`quantize`]) and folded into the output's
+    /// gradient energy while the readback reads it, so no f32 copy of
+    /// either image exists on the host. Pixels, records and simulated
+    /// seconds equal [`PipelinePlan::run`] on `orig.to_f32()` followed by
+    /// `to_u8()`: the conversions are host-side and uncharged.
+    ///
+    /// # Errors
+    /// As for [`PipelinePlan::run`].
+    pub fn run_u8(&mut self, orig: &ImageU8) -> Result<U8Report, String> {
+        let w = self.res.w;
+        let mut out = vec![0u8; self.res.n];
+        let mut energy = GradientEnergy::new(w);
+        self.q.reset();
+        let sink = &mut |y: usize, row: &[f32]| {
+            energy.push_row(row);
+            for (d, &v) in out[y * w..(y + 1) * w].iter_mut().zip(row) {
+                *d = quantize(v);
+            }
+        };
+        self.pipe.run_frame(
+            &mut self.q,
+            &mut self.res,
+            &self.prog,
+            FrameSource::U8(orig),
+            None,
+            sink,
+        )?;
+        Ok(U8Report {
+            output: ImageU8::from_vec(w, self.res.h, out),
+            output_energy: energy.finish(),
+            total_s: self.q.elapsed(),
+        })
     }
 
     /// The command records of the most recently executed frame (empty

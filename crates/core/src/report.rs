@@ -6,7 +6,7 @@
 
 use std::sync::Arc;
 
-use imagekit::ImageF32;
+use imagekit::{ImageF32, ImageU8};
 
 /// One timed stage (or command group) of a pipeline run.
 #[derive(Debug, Clone, PartialEq)]
@@ -30,6 +30,19 @@ pub struct RunReport {
     /// Ordered stage records; their sum equals `total_s` (validated by
     /// tests).
     pub stages: Vec<StageRecord>,
+}
+
+/// The result of running an 8-bit frame through the u8 transfer edge
+/// ([`crate::gpu::PipelinePlan::run_u8`]).
+#[derive(Debug, Clone)]
+pub struct U8Report {
+    /// The final sharpened image, quantized during the readback.
+    pub output: ImageU8,
+    /// `imagekit::metrics::gradient_energy` of the unquantized f32
+    /// output, bit-identical to computing it on a full f32 copy.
+    pub output_energy: f64,
+    /// Total simulated time, seconds.
+    pub total_s: f64,
 }
 
 impl RunReport {

@@ -5,6 +5,20 @@
 //! representation is used throughout the compute pipeline, with `u8` as the
 //! interchange format at the edges.
 
+/// Clamps `v` to `[0, 255]` and rounds half away from zero: bit-identical
+/// to `v.clamp(0.0, 255.0).round() as u8` for every `f32`, NaN → 0
+/// included, without the libm call. This is the one f32→u8 conversion;
+/// every quantizing copy goes through it.
+#[inline]
+pub fn quantize(v: f32) -> u8 {
+    let c = v.clamp(0.0, 255.0);
+    // Truncation, exact on [0, 255]; NaN saturates to 0 and then fails
+    // the half test.
+    let t = c as u8;
+    // `c - t` is exact (t is c's integer part), so the half test is too.
+    t + u8::from(c - f32::from(t) >= 0.5)
+}
+
 /// Row-major single-channel `f32` image.
 #[derive(Debug, Clone, PartialEq)]
 pub struct ImageF32 {
@@ -155,16 +169,13 @@ impl ImageF32 {
         })
     }
 
-    /// Converts to `u8` with clamping to `[0, 255]` and round-to-nearest.
+    /// Converts to `u8` with clamping to `[0, 255]` and round-to-nearest
+    /// (see [`quantize`]).
     pub fn to_u8(&self) -> ImageU8 {
         ImageU8 {
             width: self.width,
             height: self.height,
-            data: self
-                .data
-                .iter()
-                .map(|&v| v.clamp(0.0, 255.0).round() as u8)
-                .collect(),
+            data: self.data.iter().map(|&v| quantize(v)).collect(),
         }
     }
 
@@ -238,6 +249,11 @@ impl ImageU8 {
         self.data[y * self.width + x]
     }
 
+    /// One row as a slice.
+    pub fn row(&self, y: usize) -> &[u8] {
+        &self.data[y * self.width..(y + 1) * self.width]
+    }
+
     /// Converts to `f32` (values stay in `[0, 255]`).
     pub fn to_f32(&self) -> ImageF32 {
         ImageF32 {
@@ -298,6 +314,71 @@ mod tests {
         assert_eq!(u.pixels(), &[0, 0, 255, 255]);
         let back = u.to_f32();
         assert_eq!(back.get(1, 1), 255.0);
+    }
+
+    /// The libm form [`quantize`] must equal bit for bit.
+    fn quantize_oracle(v: f32) -> u8 {
+        v.clamp(0.0, 255.0).round() as u8
+    }
+
+    #[test]
+    fn quantize_matches_libm_round_near_every_boundary() {
+        for k in -2..=257 {
+            for centre in [k as f32, k as f32 + 0.5] {
+                let (mut up, mut down) = (centre, centre);
+                for _ in 0..=8 {
+                    for v in [up, down] {
+                        assert_eq!(
+                            quantize(v),
+                            quantize_oracle(v),
+                            "{v:e} ({:#x})",
+                            v.to_bits()
+                        );
+                    }
+                    up = up.next_up();
+                    down = down.next_down();
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn quantize_matches_libm_round_on_special_values() {
+        let specials = [
+            0.0,
+            -0.0,
+            f32::INFINITY,
+            f32::NEG_INFINITY,
+            f32::NAN,
+            -f32::NAN,
+            f32::MIN_POSITIVE,
+            -f32::MIN_POSITIVE,
+            f32::from_bits(1),
+            -f32::from_bits(1),
+            f32::from_bits(0x007f_ffff),
+            f32::MIN,
+            f32::MAX,
+        ];
+        for v in specials {
+            assert_eq!(
+                quantize(v),
+                quantize_oracle(v),
+                "{v:e} ({:#x})",
+                v.to_bits()
+            );
+        }
+        assert_eq!(quantize(f32::NAN), 0);
+    }
+
+    /// Every one of the 2^32 bit patterns; about 30 s in release
+    /// (`scripts/ci.sh --full`).
+    #[test]
+    #[ignore]
+    fn quantize_matches_libm_round_exhaustively() {
+        for bits in 0..=u32::MAX {
+            let v = f32::from_bits(bits);
+            assert_eq!(quantize(v), quantize_oracle(v), "{bits:#x}");
+        }
     }
 
     #[test]

@@ -4,7 +4,7 @@
 //! sharpens (gradient energy goes up) without blowing up the signal (PSNR
 //! against the original stays bounded, overshoot keeps pixels in range).
 
-use crate::image::ImageF32;
+use crate::image::{ImageF32, ImageU8};
 
 /// Arithmetic mean of all pixels.
 pub fn mean(img: &ImageF32) -> f64 {
@@ -52,19 +52,83 @@ pub fn psnr(a: &ImageF32, b: &ImageF32) -> f64 {
 /// Mean absolute gradient (forward differences): a simple sharpness index.
 /// Sharpened images score higher than their originals.
 pub fn gradient_energy(img: &ImageF32) -> f64 {
+    let mut g = GradientEnergy::new(img.width());
+    for y in 0..img.height() {
+        g.push_row(img.row(y));
+    }
+    g.finish()
+}
+
+/// [`gradient_energy`] of an 8-bit image, bit-identical to
+/// `gradient_energy(&img.to_f32())`: every difference is an integer, so
+/// the sum is exact in integers, as is every partial sum of the serial
+/// f64 order (each stays below 2^53 for any image under ~10^13 pixels).
+pub fn gradient_energy_u8(img: &ImageU8) -> f64 {
     let (w, h) = (img.width(), img.height());
     if w < 2 || h < 2 {
         return 0.0;
     }
-    let mut acc = 0.0f64;
+    let mut acc = 0u64;
     for y in 0..h - 1 {
-        for x in 0..w - 1 {
-            let v = f64::from(img.get(x, y));
-            acc += (f64::from(img.get(x + 1, y)) - v).abs();
-            acc += (f64::from(img.get(x, y + 1)) - v).abs();
+        let (row, below) = (img.row(y), img.row(y + 1));
+        let row_sum: u64 = row
+            .windows(2)
+            .zip(below)
+            .map(|(p, &d)| u64::from(p[1].abs_diff(p[0])) + u64::from(d.abs_diff(p[0])))
+            .sum();
+        acc += row_sum;
+    }
+    acc as f64 / ((w - 1) * (h - 1) * 2) as f64
+}
+
+/// Row-streaming [`gradient_energy`]: push the rows top to bottom, then
+/// [`GradientEnergy::finish`]. It sums in the same serial f64 order as the
+/// whole-image form, so the result is bit-identical; a row is folded in
+/// when the row below it arrives.
+#[derive(Debug, Clone)]
+pub struct GradientEnergy {
+    width: usize,
+    rows: usize,
+    prev: Vec<f32>,
+    acc: f64,
+}
+
+impl GradientEnergy {
+    /// An empty accumulator for rows of `width` pixels.
+    pub fn new(width: usize) -> Self {
+        GradientEnergy {
+            width,
+            rows: 0,
+            prev: vec![0.0; width],
+            acc: 0.0,
         }
     }
-    acc / ((w - 1) * (h - 1) * 2) as f64
+
+    /// Adds the next row (top to bottom).
+    ///
+    /// # Panics
+    /// If `row.len()` differs from the width.
+    pub fn push_row(&mut self, row: &[f32]) {
+        assert_eq!(row.len(), self.width, "row length mismatch");
+        if self.rows > 0 {
+            for (p, &d) in self.prev.windows(2).zip(row) {
+                let v = f64::from(p[0]);
+                self.acc += (f64::from(p[1]) - v).abs();
+                self.acc += (f64::from(d) - v).abs();
+            }
+        }
+        self.prev.copy_from_slice(row);
+        self.rows += 1;
+    }
+
+    /// The mean absolute gradient of the rows pushed so far.
+    pub fn finish(self) -> f64 {
+        let (w, h) = (self.width, self.rows);
+        if w < 2 || h < 2 {
+            return 0.0;
+        }
+        self.acc / ((w - 1) * (h - 1) * 2) as f64
+    }
 }
 
 /// Fraction of pixels outside `[0, 255]` (overshoot-control verification:
@@ -111,6 +175,40 @@ mod tests {
         assert_eq!(gradient_energy(&flat), 0.0);
         assert!(gradient_energy(&soft) > 0.0);
         assert!(gradient_energy(&hard) > gradient_energy(&soft));
+    }
+
+    /// The whole-image double loop `gradient_energy` was before it became
+    /// a fold over rows: the oracle for bit-identity.
+    fn gradient_energy_oracle(img: &ImageF32) -> f64 {
+        let (w, h) = (img.width(), img.height());
+        if w < 2 || h < 2 {
+            return 0.0;
+        }
+        let mut acc = 0.0f64;
+        for y in 0..h - 1 {
+            for x in 0..w - 1 {
+                let v = f64::from(img.get(x, y));
+                acc += (f64::from(img.get(x + 1, y)) - v).abs();
+                acc += (f64::from(img.get(x, y + 1)) - v).abs();
+            }
+        }
+        acc / ((w - 1) * (h - 1) * 2) as f64
+    }
+
+    #[test]
+    fn gradient_energy_forms_are_bit_identical() {
+        let shapes = [(1, 1), (1, 9), (9, 1), (2, 2), (17, 4), (1001, 701)];
+        for (w, h) in shapes {
+            for seed in [1, 7, 42] {
+                let img = generate::natural(w, h, seed);
+                let want = gradient_energy_oracle(&img).to_bits();
+                assert_eq!(gradient_energy(&img).to_bits(), want, "{w}x{h} seed {seed}");
+                let u = img.to_u8();
+                let from_u8 = gradient_energy_u8(&u).to_bits();
+                assert_eq!(from_u8, gradient_energy(&u.to_f32()).to_bits());
+                assert_eq!(from_u8, gradient_energy_oracle(&u.to_f32()).to_bits());
+            }
+        }
     }
 
     #[test]

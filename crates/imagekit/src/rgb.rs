@@ -5,7 +5,7 @@
 //! mentions (TV, camera) sharpen colour frames either per-channel or on a
 //! luma plane; this module provides the conversions both modes need.
 
-use crate::image::{ImageF32, ImageU8};
+use crate::image::{quantize, ImageF32, ImageU8};
 
 /// Interleaved 8-bit RGB image (`[r, g, b, r, g, b, ...]`, row major).
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -101,10 +101,8 @@ impl RgbImageU8 {
             "channel shape mismatch"
         );
         let mut data = Vec::with_capacity(r.len() * 3);
-        for i in 0..r.len() {
-            data.push(r.pixels()[i].clamp(0.0, 255.0).round() as u8);
-            data.push(g.pixels()[i].clamp(0.0, 255.0).round() as u8);
-            data.push(b.pixels()[i].clamp(0.0, 255.0).round() as u8);
+        for ((&vr, &vg), &vb) in r.pixels().iter().zip(g.pixels()).zip(b.pixels()) {
+            data.extend_from_slice(&[quantize(vr), quantize(vg), quantize(vb)]);
         }
         RgbImageU8 {
             width: r.width(),
@@ -144,9 +142,9 @@ impl RgbImageU8 {
                     x,
                     y,
                     (
-                        (f32::from(r) * scale).clamp(0.0, 255.0).round() as u8,
-                        (f32::from(g) * scale).clamp(0.0, 255.0).round() as u8,
-                        (f32::from(b) * scale).clamp(0.0, 255.0).round() as u8,
+                        quantize(f32::from(r) * scale),
+                        quantize(f32::from(g) * scale),
+                        quantize(f32::from(b) * scale),
                     ),
                 );
             }

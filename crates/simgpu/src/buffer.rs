@@ -290,51 +290,49 @@ impl<T: Scalar> BufferInner<T> {
         }
     }
 
-    /// Bulk host→device copy of `src` into `offset..offset+src.len()`.
-    /// Equivalent to a `store` per element (including write-race marking
-    /// under validation) but memcpy-speed when no marks are kept.
-    pub(crate) fn copy_in(&self, offset: usize, src: &[T]) {
+    /// Host→device write of `offset..offset+len`: `fill` produces the
+    /// elements in place. Equivalent to a `store` per element (including
+    /// write-race marking under validation) but at memory speed when no
+    /// marks are kept.
+    pub(crate) fn fill_in(&self, offset: usize, len: usize, fill: impl FnOnce(&mut [T])) {
         assert!(
-            offset + src.len() <= self.len,
-            "copy_in out of bounds on {:?}",
+            offset + len <= self.len,
+            "host write out of bounds on {:?}",
             self.label
         );
         if let Some(sh) = &self.shadow {
-            sh.mark_init_range(offset, src.len());
+            sh.mark_init_range(offset, len);
         }
         if self.marks.is_some() {
-            for (i, v) in src.iter().enumerate() {
-                self.store(offset + i, *v);
+            let mut staged = vec![T::default(); len];
+            fill(&mut staged);
+            for (i, v) in staged.into_iter().enumerate() {
+                self.store(offset + i, v);
             }
             return;
         }
         // SAFETY: bounds asserted above; host-side transfer, no concurrent
-        // kernel is running on this buffer per the queue discipline.
-        unsafe {
-            std::ptr::copy_nonoverlapping(
-                src.as_ptr(),
-                (*self.data.0.get()).as_mut_ptr().add(offset),
-                src.len(),
-            );
-        }
+        // kernel is running on this buffer per the queue discipline, and
+        // the slice does not outlive this call.
+        let dst = unsafe {
+            std::slice::from_raw_parts_mut((*self.data.0.get()).as_mut_ptr().add(offset), len)
+        };
+        fill(dst);
     }
 
-    /// Bulk device→host copy of `offset..offset+dst.len()` into `dst`.
-    pub(crate) fn copy_out(&self, offset: usize, dst: &mut [T]) {
+    /// Device→host read of `offset..offset+len`: `consume` sees the
+    /// elements in place.
+    pub(crate) fn view_out(&self, offset: usize, len: usize, consume: impl FnOnce(&[T])) {
         assert!(
-            offset + dst.len() <= self.len,
-            "copy_out out of bounds on {:?}",
+            offset + len <= self.len,
+            "host read out of bounds on {:?}",
             self.label
         );
         // SAFETY: bounds asserted above; reads never race per the dispatch
-        // invariant.
-        unsafe {
-            std::ptr::copy_nonoverlapping(
-                (*self.data.0.get()).as_ptr().add(offset),
-                dst.as_mut_ptr(),
-                dst.len(),
-            );
-        }
+        // invariant, and the slice does not outlive this call.
+        consume(unsafe {
+            std::slice::from_raw_parts((*self.data.0.get()).as_ptr().add(offset), len)
+        });
     }
 
     pub(crate) fn len(&self) -> usize {

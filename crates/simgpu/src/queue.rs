@@ -534,8 +534,8 @@ impl CommandQueue {
                 offending_index: src.len() - 1,
             });
         }
-        // Functional copy.
-        buf.inner.copy_in(0, src);
+        buf.inner
+            .fill_in(0, src.len(), |dst| dst.copy_from_slice(src));
         let dur = bulk_transfer_time(&self.device.transfer, std::mem::size_of_val(src) as u64);
         self.push_labeled("write:", buf.label(), CommandKind::WriteBuffer, dur, None);
         Ok(dur)
@@ -544,15 +544,29 @@ impl CommandQueue {
     /// Bulk device→host read of the whole buffer into `dst`
     /// (`clEnqueueReadBuffer`). Returns the simulated transfer time.
     pub fn enqueue_read<T: Scalar>(&mut self, buf: &Buffer<T>, dst: &mut [T]) -> Result<f64> {
-        if dst.len() > buf.len() {
+        self.enqueue_read_with(buf, dst.len(), |src| dst.copy_from_slice(src))
+    }
+
+    /// [`CommandQueue::enqueue_read`] into a consumer: `consume` sees the
+    /// buffer's first `len` elements in place, so the host can convert
+    /// them on the way out instead of staging a copy. Charged exactly as
+    /// a bulk read of `len` elements.
+    pub fn enqueue_read_with<T: Scalar>(
+        &mut self,
+        buf: &Buffer<T>,
+        len: usize,
+        consume: impl FnOnce(&[T]),
+    ) -> Result<f64> {
+        if len > buf.len() {
             return Err(Error::TransferOutOfBounds {
                 op: "read",
                 buffer_len: buf.len(),
-                offending_index: dst.len() - 1,
+                offending_index: len - 1,
             });
         }
-        buf.inner.copy_out(0, dst);
-        let dur = bulk_transfer_time(&self.device.transfer, std::mem::size_of_val(dst) as u64);
+        buf.inner.view_out(0, len, consume);
+        let bytes = (len * std::mem::size_of::<T>()) as u64;
+        let dur = bulk_transfer_time(&self.device.transfer, bytes);
         self.push_labeled("read:", buf.label(), CommandKind::ReadBuffer, dur, None);
         Ok(dur)
     }
@@ -582,37 +596,35 @@ impl CommandQueue {
                 host_len: src.len(),
             });
         }
-        if rows == 0 || src_width == 0 {
-            return Err(Error::RectShapeMismatch {
-                rows,
-                row_len: src_width,
-                host_len: src.len(),
-            });
-        }
-        if buf_x + src_width > buf_width {
-            // The region would wrap into the next row of the destination.
-            return Err(Error::TransferOutOfBounds {
-                op: "rect-write",
-                buffer_len: buf_width,
-                offending_index: buf_x + src_width - 1,
-            });
-        }
-        let last = (buf_y + rows - 1) * buf_width + buf_x + src_width - 1;
-        if last >= buf.len() {
-            return Err(Error::TransferOutOfBounds {
-                op: "rect-write",
-                buffer_len: buf.len(),
-                offending_index: last,
-            });
-        }
+        self.enqueue_write_rect_rows(buf, buf_width, buf_x, buf_y, src_width, rows, |r, dst| {
+            dst.copy_from_slice(&src[r * src_width..(r + 1) * src_width])
+        })
+    }
+
+    /// [`CommandQueue::enqueue_write_rect`] from a row producer:
+    /// `produce(r, dst)` fills host row `r` directly into its place in the
+    /// buffer, so a frame can be converted while it is padded. Charged
+    /// exactly as a rect write of `rows × src_width` elements.
+    #[allow(clippy::too_many_arguments)]
+    pub fn enqueue_write_rect_rows<T: Scalar>(
+        &mut self,
+        buf: &Buffer<T>,
+        buf_width: usize,
+        buf_x: usize,
+        buf_y: usize,
+        src_width: usize,
+        rows: usize,
+        mut produce: impl FnMut(usize, &mut [T]),
+    ) -> Result<f64> {
+        check_rect("rect-write", buf, buf_width, buf_x, buf_y, src_width, rows)?;
         for r in 0..rows {
-            let src_row = &src[r * src_width..(r + 1) * src_width];
-            buf.inner.copy_in((buf_y + r) * buf_width + buf_x, src_row);
+            let base = (buf_y + r) * buf_width + buf_x;
+            buf.inner.fill_in(base, src_width, |dst| produce(r, dst));
         }
         let dur = rect_transfer_time(
             &self.device.transfer,
             rows as u64,
-            std::mem::size_of_val(src) as u64,
+            (rows * src_width * std::mem::size_of::<T>()) as u64,
         );
         self.push_labeled(
             "rect-write:",
@@ -647,37 +659,34 @@ impl CommandQueue {
                 host_len: dst.len(),
             });
         }
-        if rows == 0 || src_width == 0 {
-            return Err(Error::RectShapeMismatch {
-                rows,
-                row_len: src_width,
-                host_len: dst.len(),
-            });
-        }
-        if buf_x + src_width > buf_width {
-            return Err(Error::TransferOutOfBounds {
-                op: "rect-read",
-                buffer_len: buf_width,
-                offending_index: buf_x + src_width - 1,
-            });
-        }
-        let last = (buf_y + rows - 1) * buf_width + buf_x + src_width - 1;
-        if last >= buf.len() {
-            return Err(Error::TransferOutOfBounds {
-                op: "rect-read",
-                buffer_len: buf.len(),
-                offending_index: last,
-            });
-        }
+        self.enqueue_read_rect_rows(buf, buf_width, buf_x, buf_y, src_width, rows, |r, src| {
+            dst[r * src_width..(r + 1) * src_width].copy_from_slice(src)
+        })
+    }
+
+    /// [`CommandQueue::enqueue_read_rect`] into a row consumer:
+    /// `consume(r, src)` sees region row `r` in place. Charged exactly as
+    /// a rect read of `rows × src_width` elements.
+    #[allow(clippy::too_many_arguments)]
+    pub fn enqueue_read_rect_rows<T: Scalar>(
+        &mut self,
+        buf: &Buffer<T>,
+        buf_width: usize,
+        buf_x: usize,
+        buf_y: usize,
+        src_width: usize,
+        rows: usize,
+        mut consume: impl FnMut(usize, &[T]),
+    ) -> Result<f64> {
+        check_rect("rect-read", buf, buf_width, buf_x, buf_y, src_width, rows)?;
         for r in 0..rows {
-            let src_base = (buf_y + r) * buf_width + buf_x;
-            buf.inner
-                .copy_out(src_base, &mut dst[r * src_width..(r + 1) * src_width]);
+            let base = (buf_y + r) * buf_width + buf_x;
+            buf.inner.view_out(base, src_width, |src| consume(r, src));
         }
         let dur = rect_transfer_time(
             &self.device.transfer,
             rows as u64,
-            std::mem::size_of_val(dst) as u64,
+            (rows * src_width * std::mem::size_of::<T>()) as u64,
         );
         self.push_labeled(
             "rect-read:",
@@ -867,6 +876,43 @@ impl CommandQueue {
             ring.clear();
         }
     }
+}
+
+/// Validates a `src_width × rows` rect transfer at `(buf_x, buf_y)` in a
+/// buffer of row pitch `buf_width`.
+fn check_rect<T: Scalar>(
+    op: &'static str,
+    buf: &Buffer<T>,
+    buf_width: usize,
+    buf_x: usize,
+    buf_y: usize,
+    src_width: usize,
+    rows: usize,
+) -> Result<()> {
+    if rows == 0 || src_width == 0 {
+        return Err(Error::RectShapeMismatch {
+            rows,
+            row_len: src_width,
+            host_len: 0,
+        });
+    }
+    if buf_x + src_width > buf_width {
+        // The region would wrap into the next row of the buffer.
+        return Err(Error::TransferOutOfBounds {
+            op,
+            buffer_len: buf_width,
+            offending_index: buf_x + src_width - 1,
+        });
+    }
+    let last = (buf_y + rows - 1) * buf_width + buf_x + src_width - 1;
+    if last >= buf.len() {
+        return Err(Error::TransferOutOfBounds {
+            op,
+            buffer_len: buf.len(),
+            offending_index: last,
+        });
+    }
+    Ok(())
 }
 
 /// RAII guard for a buffer mapped for host writing.

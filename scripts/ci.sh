@@ -124,6 +124,10 @@ if [ "$full" -eq 1 ]; then
     cargo test -q --release --test sanitize -- --ignored
     echo "== full arbitrary-shape sweep (all configs at 1001x701)"
     cargo test -q --release --test arbitrary_shapes -- --ignored
+    echo "== full u8 transfer-edge sweep (all configs at 1001x701, sanitized)"
+    cargo test -q --release --test pipeline_equivalence -- --ignored
+    echo "== exhaustive quantizer check (all 2^32 f32 bit patterns vs libm round)"
+    cargo test -q --release -p imagekit -- --ignored
     echo "== full banded equivalence sweep (all configs, banded vs monolithic)"
     cargo test -q --release --test banded -- --ignored
     echo "== full SIMD backend equivalence sweep (all configs, sanitized)"

@@ -2,7 +2,7 @@
 # Static invariant lint — thin wrapper around the token-aware Rust
 # implementation in src/bin/lint_invariants.rs (comments and string
 # literals are lexed away before any rule matches; see that file for the
-# eight rules and their rationale).
+# ten rules and their rationale).
 #
 #   ./scripts/lint_invariants.sh
 set -euo pipefail

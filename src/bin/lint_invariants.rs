@@ -6,7 +6,7 @@
 //! construct no longer trips the lint and banned calls smuggled into
 //! macro strings no longer hide from it.
 //!
-//! Nine rules, all load-bearing (numbered as they were introduced; rule 2,
+//! Ten rules, all load-bearing (numbered as they were introduced; rule 2,
 //! "raw span accessors must bulk-charge", retired when kernel bodies
 //! stopped counting cost — every dispatch's cost is now its declaration):
 //!
@@ -50,6 +50,10 @@
 //!     to execution — rests on folding the timing model over the
 //!     program's closed-form counters; a single smuggled execution would
 //!     turn the model search back into measure-by-running.
+//! 11. One f32→u8 quantizer: no `.round() as u8` in non-test code. Every
+//!     quantizing copy goes through `imagekit::image::quantize`, which is
+//!     bit-identical to the libm form and several times faster; a second
+//!     copy would bring the slow conversion back to the frame edges.
 
 use std::path::{Path, PathBuf};
 
@@ -237,6 +241,12 @@ fn has_counters_assign(line: &str) -> bool {
         from += p + ".counters".len();
     }
     false
+}
+
+/// Does `line` round and cast to `u8` (`.round() as u8`, any spacing)?
+fn has_round_as_u8(line: &str) -> bool {
+    line.match_indices(".round()")
+        .any(|(at, m)| line[at + m.len()..].trim_start().starts_with("as u8"))
 }
 
 /// Every `.rs` file under `dir`, recursively, sorted for deterministic
@@ -496,6 +506,23 @@ impl Lint {
         }
     }
 
+    /// Rule 11: one f32→u8 quantizer.
+    fn rule_single_quantizer(&mut self, files: &[PathBuf]) {
+        for rel in files {
+            let s = self.read(rel);
+            let hits: Vec<_> = lines(&s, true)
+                .into_iter()
+                .filter(|(_, l)| has_round_as_u8(l))
+                .collect();
+            self.fail(
+                "libm round-and-cast to u8 (use imagekit::image::quantize, the one exact \
+                 branch-free quantizer)",
+                rel,
+                &hits,
+            );
+        }
+    }
+
     /// Rule 7: raw CommandQueue dispatches stay in the sanctioned modules.
     fn rule_declared_dispatches(&mut self, gpu_files: &[PathBuf], sanctioned: &[PathBuf]) {
         for rel in gpu_files.iter().filter(|rel| !sanctioned.contains(rel)) {
@@ -551,6 +578,7 @@ fn run(root: &Path) -> i32 {
         .map(|p| rel(&p))
         .collect();
     lint.rule_simd_contained(&all, Path::new("crates/core/src/gpu/kernels/simd"));
+    lint.rule_single_quantizer(&all);
 
     let gpu_files: Vec<PathBuf> = rust_files(&root.join("crates/core/src/gpu"))
         .into_iter()
@@ -585,7 +613,7 @@ fn run(root: &Path) -> i32 {
     lint.rule_tune_execution_free(&closed_form);
 
     if lint.failures.is_empty() {
-        println!("lint_invariants: OK (9 rules, token-aware)");
+        println!("lint_invariants: OK (10 rules, token-aware)");
         0
     } else {
         for f in &lint.failures {
@@ -691,6 +719,33 @@ mod tests {
                  q.run(&decl, &[], body);\n\
                  x.clamp(0.0, 1.0)\n\
              }\n",
+        )
+        .unwrap();
+        let code = run(&root);
+        std::fs::remove_dir_all(&root).ok();
+        assert_eq!(code, 1);
+    }
+
+    #[test]
+    fn round_as_u8_detection() {
+        assert!(has_round_as_u8("d = v.clamp(0.0, 255.0).round() as u8;"));
+        assert!(has_round_as_u8("x.round()  as u8"));
+        assert!(!has_round_as_u8("let r = v.round(); let n = k as u8;"));
+        assert!(!has_round_as_u8("v.round() as u16"));
+    }
+
+    #[test]
+    fn flags_a_second_quantizer() {
+        let root = std::env::temp_dir().join(format!("lint-quant-fixture-{}", std::process::id()));
+        std::fs::create_dir_all(root.join("src")).unwrap();
+        // Rule 11: a hand-rolled libm quantizer outside imagekit. The same
+        // form in prose or in test code must NOT count.
+        std::fs::write(
+            root.join("src/out.rs"),
+            "// v.round() as u8 in prose is fine\n\
+             fn q(v: f32) -> u8 { v.clamp(0.0, 255.0).round() as u8 }\n\
+             #[cfg(test)]\n\
+             mod tests { fn oracle(v: f32) -> u8 { v.round() as u8 } }\n",
         )
         .unwrap();
         let code = run(&root);

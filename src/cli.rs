@@ -6,7 +6,7 @@
 use std::cell::OnceCell;
 use std::path::PathBuf;
 
-use imagekit::{io, metrics, ImageF32};
+use imagekit::{io, metrics, ImageF32, ImageU8, RgbImageU8};
 use sharpness_core::color::{sharpen_rgb, ColorMode};
 use sharpness_core::cpu::CpuPipeline;
 use sharpness_core::gpu::{
@@ -14,7 +14,7 @@ use sharpness_core::gpu::{
     ThroughputReport, Tuning,
 };
 use sharpness_core::params::SharpnessParams;
-use sharpness_core::report::RunReport;
+use sharpness_core::report::{RunReport, U8Report};
 use sharpness_core::telemetry::FrameTelemetry;
 use simgpu::context::Context;
 use simgpu::device::DeviceSpec;
@@ -608,10 +608,44 @@ fn autotune_search(
     )
 }
 
-/// Sharpens one plane. Under `--verify-static` the first GPU plane proves
-/// its frame program before touching a single pixel (a failed proof
-/// aborts the run) and keeps the report in `proof`; every plane of a run
-/// shares the shape and configuration, so later planes reuse it.
+/// The pipeline a GPU run of a `w`×`h` plane executes, on a fresh context
+/// (sanitized under `--sanitize`). Under `--verify-static` the first GPU
+/// plane proves its frame program before touching a single pixel (a
+/// failed proof aborts the run) and keeps the report in `proof`; every
+/// plane of a run shares the shape and configuration, so later planes
+/// reuse it.
+fn gpu_pipeline(
+    cli: &CliArgs,
+    preset: DevicePreset,
+    (w, h): (usize, usize),
+    proof: &OnceCell<StaticReport>,
+) -> Result<GpuPipeline, String> {
+    let (opts, tuning) = gpu_config_for(cli, preset, w, h)?;
+    if cli.verify_static && proof.get().is_none() {
+        let r = verify_static(w, h, &opts, &tuning, schedule_of(cli))?;
+        let _ = proof.set(r);
+    }
+    let ctx = if cli.sanitize {
+        Context::sanitized(preset.spec())
+    } else {
+        Context::new(preset.spec())
+    };
+    Ok(GpuPipeline::new(ctx, cli.params, opts)
+        .with_tuning(tuning)
+        .with_schedule(schedule_of(cli)))
+}
+
+/// Fails with the sanitizer's report if `pipe`'s context recorded any
+/// violation.
+fn sanitizer_verdict(pipe: &GpuPipeline) -> Result<(), String> {
+    match pipe.context().sanitize_report() {
+        Some(san) if !san.is_clean() => Err(format!("{san}")),
+        _ => Ok(()),
+    }
+}
+
+/// Sharpens one f32 plane (a colour channel or luma, or a grayscale frame
+/// on the CPU engine).
 fn sharpen_plane(
     cli: &CliArgs,
     plane: &ImageF32,
@@ -620,27 +654,38 @@ fn sharpen_plane(
     match cli.engine {
         Engine::Cpu => CpuPipeline::new(cli.params).run(plane),
         Engine::Gpu(preset) => {
-            let (opts, tuning) = gpu_config_for(cli, preset, plane.width(), plane.height())?;
-            if cli.verify_static && proof.get().is_none() {
-                let (w, h) = (plane.width(), plane.height());
-                let r = verify_static(w, h, &opts, &tuning, schedule_of(cli))?;
-                let _ = proof.set(r);
-            }
-            let ctx = if cli.sanitize {
-                Context::sanitized(preset.spec())
-            } else {
-                Context::new(preset.spec())
-            };
-            let report = GpuPipeline::new(ctx.clone(), cli.params, opts)
-                .with_tuning(tuning)
-                .with_schedule(schedule_of(cli))
-                .run(plane)?;
-            if let Some(san) = ctx.sanitize_report() {
-                if !san.is_clean() {
-                    return Err(format!("{san}"));
-                }
-            }
+            let pipe = gpu_pipeline(cli, preset, (plane.width(), plane.height()), proof)?;
+            let report = pipe.run(plane)?;
+            sanitizer_verdict(&pipe)?;
             Ok(report)
+        }
+    }
+}
+
+/// Sharpens an 8-bit grayscale frame. On the GPU engine the frame goes
+/// through the u8 transfer edge and no f32 copy of it is made; the CPU
+/// engine converts, and also returns its plane report.
+fn sharpen_gray(
+    cli: &CliArgs,
+    img: &ImageU8,
+    proof: &OnceCell<StaticReport>,
+) -> Result<(U8Report, Option<RunReport>), String> {
+    let (w, h) = (img.width(), img.height());
+    match cli.engine {
+        Engine::Cpu => {
+            let r = sharpen_plane(cli, &img.to_f32(), proof)?;
+            let edge = U8Report {
+                output: r.output.to_u8(),
+                output_energy: metrics::gradient_energy(&r.output),
+                total_s: r.total_s,
+            };
+            Ok((edge, Some(r)))
+        }
+        Engine::Gpu(preset) => {
+            let pipe = gpu_pipeline(cli, preset, (w, h), proof)?;
+            let edge = pipe.prepared(w, h)?.run_u8(img)?;
+            sanitizer_verdict(&pipe)?;
+            Ok((edge, None))
         }
     }
 }
@@ -695,6 +740,21 @@ fn gpu_observe(
     Ok((plan.records().to_vec(), tel, spans))
 }
 
+/// A decoded input frame.
+enum Input {
+    Gray(ImageU8),
+    Rgb(RgbImageU8),
+}
+
+impl Input {
+    fn shape(&self) -> (usize, usize) {
+        match self {
+            Input::Gray(img) => (img.width(), img.height()),
+            Input::Rgb(frame) => (frame.width(), frame.height()),
+        }
+    }
+}
+
 /// Executes the parsed command, returning the human-readable summary that
 /// the binary prints.
 pub fn run(cli: &CliArgs) -> Result<String, String> {
@@ -704,27 +764,36 @@ pub fn run(cli: &CliArgs) -> Result<String, String> {
     let ext = cli.input.extension().and_then(|e| e.to_str()).unwrap_or("");
     let mut summary = String::new();
     let proof = OnceCell::new();
-    let report: RunReport;
-    let plane: ImageF32;
+    let is_gpu = matches!(cli.engine, Engine::Gpu(_));
+    // Kernel telemetry (counters survive only on the plan's queue, not in
+    // a report) is observed when --metrics/--profile/--explain ask for it,
+    // and for single-frame GPU traces so they carry real command kinds
+    // and the cumulative global-bytes counter track. A single-frame trace
+    // that observed nothing (the CPU engine) falls back to a plane report.
+    let wants_single_trace = (cli.trace_json.is_some() || cli.gantt) && cli.frames == 1;
+    let observe =
+        is_gpu && (cli.metrics.is_some() || cli.profile || cli.explain || wants_single_trace);
+    let needs_fallback = wants_single_trace && !observe;
+    let mut fallback: Option<RunReport> = None;
+    let input: Input;
     match ext {
         "pgm" => {
-            let img = io::read_pgm(&cli.input)
-                .map_err(|e| e.to_string())?
-                .to_f32();
-            report = sharpen_plane(cli, &img, &proof)?;
-            io::write_pgm(&cli.output, &report.output.to_u8()).map_err(|e| e.to_string())?;
+            let img = io::read_pgm(&cli.input).map_err(|e| e.to_string())?;
+            let (edge, report) = sharpen_gray(cli, &img, &proof)?;
+            io::write_pgm(&cli.output, &edge.output).map_err(|e| e.to_string())?;
             summary.push_str(&format!(
                 "sharpened {}x{} grayscale in {:.3} simulated ms\n",
                 img.width(),
                 img.height(),
-                report.total_s * 1e3
+                edge.total_s * 1e3
             ));
             summary.push_str(&format!(
                 "gradient energy {:.3} -> {:.3}\n",
-                metrics::gradient_energy(&img),
-                metrics::gradient_energy(&report.output)
+                metrics::gradient_energy_u8(&img),
+                edge.output_energy
             ));
-            plane = img;
+            fallback = report;
+            input = Input::Gray(img);
         }
         "ppm" => {
             let frame = io::read_ppm(&cli.input).map_err(|e| e.to_string())?;
@@ -744,11 +813,10 @@ pub fn run(cli: &CliArgs) -> Result<String, String> {
                 color.plane_runs,
                 color.total_s * 1e3
             ));
-            // Trace/gantt/telemetry need a plane report; redo the luma
-            // plane cheaply.
-            let luma = frame.to_luma();
-            report = sharpen_plane(cli, &luma, &proof)?;
-            plane = luma;
+            if needs_fallback {
+                fallback = Some(sharpen_plane(cli, &frame.to_luma(), &proof)?);
+            }
+            input = Input::Rgb(frame);
         }
         other => {
             return Err(format!(
@@ -756,23 +824,25 @@ pub fn run(cli: &CliArgs) -> Result<String, String> {
             ))
         }
     }
+    // The f32 plane the stream and the observation run on: the grayscale
+    // frame, or a colour frame's luma. Built only when one of them runs.
+    let plane = (cli.frames > 1 || observe).then(|| match &input {
+        Input::Gray(img) => img.to_f32(),
+        Input::Rgb(frame) => frame.to_luma(),
+    });
+    let (width, height) = input.shape();
 
     // Multi-frame stream: run the throughput engine once; its report also
     // carries the per-worker traces for --trace/--gantt.
-    let tput: Option<ThroughputReport> = if cli.frames > 1 {
-        let (text, rep) = run_throughput(cli, &plane)?;
-        summary.push_str(&text);
-        eprint!("{}", rep.latency_summary());
-        Some(rep)
-    } else {
-        None
+    let tput: Option<ThroughputReport> = match &plane {
+        Some(plane) if cli.frames > 1 => {
+            let (text, rep) = run_throughput(cli, plane)?;
+            summary.push_str(&text);
+            eprint!("{}", rep.latency_summary());
+            Some(rep)
+        }
+        _ => None,
     };
-
-    // Kernel telemetry (counters survive only on the plan's queue, not in
-    // the RunReport): collected when --metrics/--profile ask for it, and
-    // for single-frame GPU traces so they carry real command kinds and the
-    // cumulative global-bytes counter track.
-    let is_gpu = matches!(cli.engine, Engine::Gpu(_));
 
     // Under --autotune report the schedule the model search picked (the
     // runs above already executed under it) and keep the report around
@@ -782,7 +852,7 @@ pub fn run(cli: &CliArgs) -> Result<String, String> {
             unreachable!("--autotune rejected with --cpu at parse time");
         };
         let t0 = std::time::Instant::now();
-        let r = autotune_search(preset, plane.width(), plane.height())?;
+        let r = autotune_search(preset, width, height)?;
         let wall = t0.elapsed().as_secs_f64();
         summary.push_str(&format!("autotune: {}\n", r.summary_line()));
         Some((r, wall))
@@ -790,13 +860,10 @@ pub fn run(cli: &CliArgs) -> Result<String, String> {
         None
     };
 
-    let wants_single_trace = (cli.trace_json.is_some() || cli.gantt) && cli.frames == 1;
-    let observed =
-        if is_gpu && (cli.metrics.is_some() || cli.profile || cli.explain || wants_single_trace) {
-            Some(gpu_observe(cli, &plane)?)
-        } else {
-            None
-        };
+    let observed = match &plane {
+        Some(plane) if observe => Some(gpu_observe(cli, plane)?),
+        _ => None,
+    };
 
     if cli.sanitize {
         // Any violation aborts the run with the sanitizer's report, so
@@ -878,7 +945,10 @@ pub fn run(cli: &CliArgs) -> Result<String, String> {
             Some(tp) => trace::multiframe_chrome_json(&tp.traces),
             None => match &observed {
                 Some((records, _, spans)) => trace::to_chrome_json_with_spans(records, spans),
-                None => trace::to_chrome_json(&report_to_records(&report)),
+                None => {
+                    let report = fallback.as_ref().expect("plane report when unobserved");
+                    trace::to_chrome_json(&report_to_records(report))
+                }
             },
         };
         std::fs::write(path, json).map_err(|e| e.to_string())?;
@@ -889,7 +959,11 @@ pub fn run(cli: &CliArgs) -> Result<String, String> {
             Some(tp) => summary.push_str(&trace::worker_gantt(&tp.traces, 60)),
             None => match &observed {
                 Some((records, _, _)) => summary.push_str(&trace::gantt(records, 60)),
-                None => summary.push_str(&trace::gantt(&report_to_records(&report), 60)),
+                None => {
+                    let report = fallback.as_ref().expect("plane report when unobserved");
+                    let records = report_to_records(report);
+                    summary.push_str(&trace::gantt(&records, 60));
+                }
             },
         }
     }
@@ -1371,6 +1445,60 @@ mod tests {
         let json = std::fs::read_to_string(&trace).unwrap();
         assert!(json.starts_with("{\"traceEvents\":["));
         for p in [input, output, trace] {
+            std::fs::remove_file(p).ok();
+        }
+    }
+
+    /// The grayscale path through the u8 transfer edge prints the same
+    /// summary and writes the same bytes as converting the whole frame to
+    /// f32, running the plane, rounding with libm and measuring both
+    /// gradient energies on f32 copies.
+    #[test]
+    fn pgm_summary_and_bytes_match_the_f32_plane_path() {
+        let dir = std::env::temp_dir();
+        let input = dir.join(format!("cli-edge-in-{}.pgm", std::process::id()));
+        let output = dir.join(format!("cli-edge-out-{}.pgm", std::process::id()));
+        let img = imagekit::generate::natural(101, 67, 19).to_u8();
+        io::write_pgm(&input, &img).unwrap();
+        let plane = img.to_f32();
+        for flags in [
+            &["--opts", "all"][..],
+            &["--opts", "none"],
+            &["--cpu"],
+            &["--sanitize", "--verify-static"],
+        ] {
+            let mut argv = vec![input.to_str().unwrap(), output.to_str().unwrap()];
+            argv.extend_from_slice(flags);
+            let cli = parse_args(&strs(&argv)).unwrap();
+            let summary = run(&cli).unwrap();
+            let want = match cli.engine {
+                Engine::Cpu => CpuPipeline::new(cli.params).run(&plane),
+                Engine::Gpu(p) => {
+                    GpuPipeline::new(Context::new(p.spec()), cli.params, cli.opts).run(&plane)
+                }
+            }
+            .unwrap();
+            let bytes: Vec<u8> = want
+                .output
+                .pixels()
+                .iter()
+                .map(|&v| v.clamp(0.0, 255.0).round() as u8)
+                .collect();
+            assert_eq!(
+                io::read_pgm(&output).unwrap().pixels(),
+                &bytes[..],
+                "{flags:?}"
+            );
+            let head = format!(
+                "sharpened 101x67 grayscale in {:.3} simulated ms\n\
+                 gradient energy {:.3} -> {:.3}\n",
+                want.total_s * 1e3,
+                metrics::gradient_energy(&plane),
+                metrics::gradient_energy(&want.output)
+            );
+            assert!(summary.starts_with(&head), "{flags:?}: {summary}");
+        }
+        for p in [input, output] {
             std::fs::remove_file(p).ok();
         }
     }

@@ -2,7 +2,7 @@
 //! reference output for every optimization configuration, on every
 //! workload shape, under the write-race-validating context.
 
-use imagekit::{generate, ImageF32};
+use imagekit::{generate, metrics, ImageF32};
 use sharpness::prelude::*;
 
 fn vctx() -> Context {
@@ -273,4 +273,64 @@ fn umbrella_prelude_compiles_the_quickstart_flow() {
         .unwrap();
     assert_eq!(run.output.width(), 32);
     assert!(run.total_s > 0.0);
+}
+
+/// One frame's records as `(name, duration bits, counters)`.
+fn record_bits(plan: &PipelinePlan) -> Vec<(String, u64, Option<simgpu::cost::CostCounters>)> {
+    plan.records()
+        .iter()
+        .map(|r| (r.name.to_string(), r.duration_s.to_bits(), r.counters))
+        .collect()
+}
+
+/// Runs `opts` on a `w`×`h` frame through the u8 transfer edge
+/// (`PipelinePlan::run_u8`: widen during the padded upload, quantize and
+/// measure gradient energy during the cropped readback) and through the
+/// f32 path, under every schedule, asserting they differ only in where
+/// the conversions happen: the same bytes, energy bits, records and
+/// simulated seconds, with the sanitizer clean.
+fn assert_u8_edge_matches_f32_path(w: usize, h: usize, configs: &[OptConfig]) {
+    let params = SharpnessParams::default();
+    let img = generate::natural(w, h, 31).to_u8();
+    let plane = img.to_f32();
+    for &opts in configs {
+        for schedule in [
+            Schedule::Monolithic,
+            Schedule::Banded(1),
+            Schedule::Banded(7),
+        ] {
+            let ctx = Context::sanitized(DeviceSpec::firepro_w8000());
+            let pipe = GpuPipeline::new(ctx.clone(), params, opts).with_schedule(schedule);
+            let mut edge_plan = pipe.prepared(w, h).unwrap();
+            let edge = edge_plan.run_u8(&img).unwrap();
+            let mut f32_plan = pipe.prepared(w, h).unwrap();
+            let want = f32_plan.run(&plane).unwrap();
+            let case = format!("{w}x{h} {opts:?} {schedule:?}");
+            assert_eq!(edge.output, want.output.to_u8(), "{case}");
+            assert_eq!(
+                edge.output_energy.to_bits(),
+                metrics::gradient_energy(&want.output).to_bits(),
+                "{case}"
+            );
+            assert_eq!(edge.total_s.to_bits(), want.total_s.to_bits(), "{case}");
+            assert_eq!(record_bits(&edge_plan), record_bits(&f32_plan), "{case}");
+            let san = ctx.sanitize_report().expect("sanitized context");
+            assert!(san.is_clean(), "{case}: {san}");
+        }
+    }
+}
+
+#[test]
+fn u8_edge_matches_the_f32_path() {
+    for (w, h) in [(3, 3), (5, 7), (17, 4), (64, 64)] {
+        assert_u8_edge_matches_f32_path(w, h, &all_configs());
+    }
+    assert_u8_edge_matches_f32_path(1001, 701, &[OptConfig::none(), OptConfig::all()]);
+}
+
+/// Every config at 1001×701 (minutes in debug; `scripts/ci.sh --full`).
+#[test]
+#[ignore]
+fn u8_edge_matches_the_f32_path_for_every_config_at_1001x701() {
+    assert_u8_edge_matches_f32_path(1001, 701, &all_configs());
 }
