@@ -10,11 +10,18 @@
 //!   so no colour fringing.
 //! * [`ColorMode::PerChannel`] — sharpen R, G and B independently. Three
 //!   runs; maximum acuity, may fringe on saturated edges.
+//!
+//! [`sharpen_rgb_on_plan`] runs either mode on one prepared GPU plan at
+//! the 8-bit transfer edge: no planar copy of the frame is made on the
+//! host, and the output bytes and simulated seconds are those of
+//! [`sharpen_rgb`] on a [`GpuPipeline`] of the same configuration.
 
+use imagekit::rgb;
 use imagekit::{ImageF32, RgbImageU8};
 
 use crate::cpu::CpuPipeline;
-use crate::gpu::GpuPipeline;
+use crate::gpu::pipeline::{FrameSource, RgbPlane};
+use crate::gpu::{GpuPipeline, PipelinePlan};
 use crate::report::RunReport;
 
 /// Anything that can sharpen one grayscale plane.
@@ -96,6 +103,54 @@ pub fn sharpen_rgb(
     }
 }
 
+/// Sharpens a colour frame with the given strategy on one prepared plan,
+/// through the 8-bit transfer edge: the padded upload gathers each plane
+/// (or computes the luma plane) straight from the interleaved bytes, and
+/// the readback quantizes each final row into its channel of the
+/// interleaved output (or rescales the row's pixels by the luma ratio).
+///
+/// Output bytes and `total_s` (summed `0.0 + r + g + b` per channel) are
+/// bit-identical to [`sharpen_rgb`] with a [`GpuPipeline`] of the plan's
+/// configuration. Afterwards the plan's records, spans and telemetry
+/// describe the last frame it ran: the B plane, or the luma plane.
+///
+/// # Errors
+/// If the frame's shape differs from the plan's, or on simulated-runtime
+/// faults.
+pub fn sharpen_rgb_on_plan(
+    plan: &mut PipelinePlan,
+    frame: &RgbImageU8,
+    mode: ColorMode,
+) -> Result<ColorRun, String> {
+    let (w, h) = (frame.width(), frame.height());
+    let mut out = vec![0u8; w * h * 3];
+    let row = |y: usize| y * w * 3..(y + 1) * w * 3;
+    let (total_s, plane_runs) = match mode {
+        ColorMode::LumaOnly => {
+            let src = FrameSource::Rgb(frame, RgbPlane::Luma);
+            let s = plan.run_rows(src, &mut |y, luma| {
+                rgb::rescale_row(frame.row(y), luma, &mut out[row(y)])
+            })?;
+            (s, 1)
+        }
+        ColorMode::PerChannel => {
+            let mut total = 0.0;
+            for c in 0..3 {
+                let src = FrameSource::Rgb(frame, RgbPlane::Channel(c));
+                total += plan.run_rows(src, &mut |y, plane| {
+                    rgb::interleave_row(plane, c, &mut out[row(y)])
+                })?;
+            }
+            (total, 3)
+        }
+    };
+    Ok(ColorRun {
+        output: RgbImageU8::from_vec(w, h, out),
+        total_s,
+        plane_runs,
+    })
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -160,6 +215,22 @@ mod tests {
         for (a, b) in cpu.output.bytes().iter().zip(gpu.output.bytes()) {
             assert!(a.abs_diff(*b) <= 1, "{a} vs {b}");
         }
+    }
+
+    #[test]
+    fn plan_entry_matches_sharpen_rgb_and_rejects_other_shapes() {
+        let f = frame();
+        let mut plan = gpu().prepared(64, 64).unwrap();
+        for mode in [ColorMode::PerChannel, ColorMode::LumaOnly] {
+            let got = sharpen_rgb_on_plan(&mut plan, &f, mode).unwrap();
+            let want = sharpen_rgb(&gpu(), &f, mode).unwrap();
+            assert_eq!(got.output, want.output, "{mode:?}");
+            assert_eq!(got.total_s.to_bits(), want.total_s.to_bits(), "{mode:?}");
+            assert_eq!(got.plane_runs, want.plane_runs, "{mode:?}");
+        }
+        let small = RgbImageU8::zeros(32, 64);
+        let err = sharpen_rgb_on_plan(&mut plan, &small, ColorMode::PerChannel).unwrap_err();
+        assert!(err.contains("plan prepared for 64x64"), "{err}");
     }
 
     #[test]

@@ -18,6 +18,7 @@
 
 use imagekit::image::quantize;
 use imagekit::metrics::GradientEnergy;
+use imagekit::rgb::{self, RgbImageU8};
 use imagekit::{ImageF32, ImageU8};
 use simgpu::buffer::Buffer;
 use simgpu::context::Context;
@@ -684,6 +685,18 @@ pub(crate) enum FrameSource<'a> {
     F32(&'a ImageF32),
     /// 8-bit pixels, widened to f32 row by row as they are uploaded.
     U8(&'a ImageU8),
+    /// One plane of an interleaved colour frame, gathered (or, for luma,
+    /// computed) row by row from the interleaved bytes as it is uploaded.
+    Rgb(&'a RgbImageU8, RgbPlane),
+}
+
+/// The plane of a colour frame a [`FrameSource::Rgb`] feeds the pipeline.
+#[derive(Clone, Copy)]
+pub(crate) enum RgbPlane {
+    /// Channel `c` (0 = R, 1 = G, 2 = B).
+    Channel(usize),
+    /// The BT.601 luma plane.
+    Luma,
 }
 
 impl FrameSource<'_> {
@@ -691,6 +704,7 @@ impl FrameSource<'_> {
         match self {
             FrameSource::F32(img) => (img.width(), img.height()),
             FrameSource::U8(img) => (img.width(), img.height()),
+            FrameSource::Rgb(frame, _) => (frame.width(), frame.height()),
         }
     }
 
@@ -703,6 +717,10 @@ impl FrameSource<'_> {
                     *d = f32::from(v);
                 }
             }
+            FrameSource::Rgb(frame, RgbPlane::Channel(c)) => {
+                rgb::channel_row(frame.row(y), *c, dst)
+            }
+            FrameSource::Rgb(frame, RgbPlane::Luma) => rgb::luma_row(frame.row(y), dst),
         }
     }
 }
@@ -946,26 +964,31 @@ impl PipelinePlan {
         let w = self.res.w;
         let mut out = vec![0u8; self.res.n];
         let mut energy = GradientEnergy::new(w);
-        self.q.reset();
-        let sink = &mut |y: usize, row: &[f32]| {
+        let total_s = self.run_rows(FrameSource::U8(orig), &mut |y, row| {
             energy.push_row(row);
             for (d, &v) in out[y * w..(y + 1) * w].iter_mut().zip(row) {
                 *d = quantize(v);
             }
-        };
-        self.pipe.run_frame(
-            &mut self.q,
-            &mut self.res,
-            &self.prog,
-            FrameSource::U8(orig),
-            None,
-            sink,
-        )?;
+        })?;
         Ok(U8Report {
             output: ImageU8::from_vec(w, self.res.h, out),
             output_energy: energy.finish(),
-            total_s: self.q.elapsed(),
+            total_s,
         })
+    }
+
+    /// Runs one frame from `src`, handing the final image's rows to
+    /// `sink` as the readback reads them, and returns the frame's
+    /// simulated seconds. The frame entry of the u8 and colour edges.
+    pub(crate) fn run_rows(
+        &mut self,
+        src: FrameSource<'_>,
+        sink: RowSink<'_>,
+    ) -> Result<f64, String> {
+        self.q.reset();
+        self.pipe
+            .run_frame(&mut self.q, &mut self.res, &self.prog, src, None, sink)?;
+        Ok(self.q.elapsed())
     }
 
     /// The command records of the most recently executed frame (empty

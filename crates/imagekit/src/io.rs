@@ -5,7 +5,7 @@
 //! the crate stays dependency-free.
 
 use std::fs::File;
-use std::io::{self, BufRead, BufReader, BufWriter, Read, Write};
+use std::io::{self, BufRead, BufReader, BufWriter, Read, Seek, Write};
 use std::path::Path;
 
 use crate::image::ImageU8;
@@ -62,15 +62,25 @@ pub fn read_pgm(path: &Path) -> io::Result<ImageU8> {
     }
     let (width, height, n, maxval) = read_dims(&mut r)?;
     let data = if magic == "P5" {
-        let mut data = vec![0u8; n];
-        r.read_exact(&mut data)?;
-        data
+        read_samples(&mut r, n, maxval)?
     } else {
+        // Every ASCII sample takes at least one digit, and all but the
+        // last a separator too.
+        if let Some(left) = bytes_left(&mut r)? {
+            if (n as u64).saturating_mul(2) - 1 > left {
+                return Err(truncated(n, left));
+            }
+        }
         let mut data = Vec::with_capacity(n);
-        for _ in 0..n {
-            let v = parse_token::<_, u16>(&mut r)?;
+        for i in 0..n {
+            let v = parse_token::<_, u16>(&mut r).map_err(|e| match e.kind() {
+                io::ErrorKind::UnexpectedEof => {
+                    bad_data(format!("truncated payload: {i} of {n} samples"))
+                }
+                _ => e,
+            })?;
             if v as usize > maxval {
-                return Err(bad_data(format!("sample {v} exceeds maxval {maxval}")));
+                return Err(above_maxval(v, maxval));
             }
             data.push(v as u8);
         }
@@ -86,13 +96,58 @@ pub fn read_ppm(path: &Path) -> io::Result<RgbImageU8> {
     if magic != "P6" {
         return Err(bad_data(format!("expected P6 magic, got {magic:?}")));
     }
-    let (width, height, n, _maxval) = read_dims(&mut r)?;
+    let (width, height, n, maxval) = read_dims(&mut r)?;
     let bytes = n
         .checked_mul(3)
         .ok_or_else(|| bad_data(format!("dimensions {width}x{height} overflow")))?;
-    let mut data = vec![0u8; bytes];
-    r.read_exact(&mut data)?;
+    let data = read_samples(&mut r, bytes, maxval)?;
     Ok(RgbImageU8::from_vec(width, height, data))
+}
+
+/// The bytes left in `r` when it reads a regular file; `None` for a
+/// stream of unknown length (a pipe).
+fn bytes_left(r: &mut BufReader<File>) -> io::Result<Option<u64>> {
+    let meta = r.get_ref().metadata()?;
+    if !meta.is_file() {
+        return Ok(None);
+    }
+    Ok(Some(meta.len().saturating_sub(r.stream_position()?)))
+}
+
+/// Reads a binary payload of `n` samples, each at most `maxval`. The
+/// header's `n` is checked against the bytes the file actually holds
+/// before anything is allocated, so a corrupt or hostile header is an
+/// `InvalidData` error, not a terabyte allocation.
+fn read_samples(r: &mut BufReader<File>, n: usize, maxval: usize) -> io::Result<Vec<u8>> {
+    let left = bytes_left(r)?;
+    if let Some(left) = left {
+        if n as u64 > left {
+            return Err(truncated(n, left));
+        }
+    }
+    // A stream's length is unknown: start small and grow as bytes arrive.
+    let mut data = Vec::with_capacity(if left.is_some() { n } else { n.min(1 << 16) });
+    r.take(n as u64).read_to_end(&mut data)?;
+    if data.len() != n {
+        return Err(truncated(n, data.len() as u64));
+    }
+    // No byte exceeds 255, so only a smaller maxval needs the scan.
+    if maxval < 255 {
+        if let Some(&v) = data.iter().find(|&&v| usize::from(v) > maxval) {
+            return Err(above_maxval(v.into(), maxval));
+        }
+    }
+    Ok(data)
+}
+
+fn truncated(want: usize, have: u64) -> io::Error {
+    bad_data(format!(
+        "truncated payload: header promises {want} bytes, {have} remain"
+    ))
+}
+
+fn above_maxval(v: u16, maxval: usize) -> io::Error {
+    bad_data(format!("sample {v} exceeds maxval {maxval}"))
 }
 
 fn bad_data(msg: String) -> io::Error {
@@ -247,6 +302,71 @@ mod tests {
         let p = tmpfile("i7.ppm");
         std::fs::write(&p, format!("P6\n{} 4\n255\n", MAX_DIM + 1)).unwrap();
         assert_eq!(read_ppm(&p).unwrap_err().kind(), io::ErrorKind::InvalidData);
+        std::fs::remove_file(&p).ok();
+    }
+
+    /// Reads `p` with the reader its extension names.
+    fn read_either(p: &Path) -> io::Result<()> {
+        if p.extension().is_some_and(|e| e == "ppm") {
+            read_ppm(p).map(|_| ())
+        } else {
+            read_pgm(p).map(|_| ())
+        }
+    }
+
+    #[test]
+    fn huge_header_over_a_short_payload_is_an_error_not_an_allocation() {
+        // 1048576² samples (3.3 TB for P6) promised by a 27-byte file:
+        // the readers must refuse before allocating.
+        for (name, body) in [
+            ("k1.pgm", &b"P5\n1048576 1048576\n255\nabc"[..]),
+            ("k2.pgm", &b"P2\n1048576 1048576\n255\n1 2"[..]),
+            ("k3.ppm", &b"P6\n1048576 1048576\n255\nabc"[..]),
+        ] {
+            let p = tmpfile(name);
+            std::fs::write(&p, body).unwrap();
+            let err = read_either(&p).unwrap_err();
+            assert_eq!(err.kind(), io::ErrorKind::InvalidData, "{name}: {err}");
+            assert!(err.to_string().contains("truncated"), "{name}: {err}");
+            std::fs::remove_file(&p).ok();
+        }
+        // A payload one byte short is truncated too, for every magic.
+        for (name, body) in [
+            ("k4.pgm", &b"P5\n2 2\n255\nabc"[..]),
+            ("k5.pgm", &b"P2\n2 2\n255\n1 2 3"[..]),
+            // Long enough for four samples, but holding only three.
+            ("k7.pgm", &b"P2\n2 2\n255\n1 2 3      "[..]),
+            ("k6.ppm", &b"P6\n2 1\n255\nabcde"[..]),
+        ] {
+            let p = tmpfile(name);
+            std::fs::write(&p, body).unwrap();
+            let err = read_either(&p).unwrap_err();
+            assert_eq!(err.kind(), io::ErrorKind::InvalidData, "{name}: {err}");
+            std::fs::remove_file(&p).ok();
+        }
+    }
+
+    #[test]
+    fn samples_above_maxval_rejected_for_every_magic() {
+        for (name, body) in [
+            ("l1.pgm", &b"P5\n4 1\n15\n\x00\x10\xff\x05"[..]),
+            ("l2.pgm", &b"P2\n4 1\n15\n0 16 255 5\n"[..]),
+            ("l3.ppm", &b"P6\n2 1\n15\n\x00\x01\x02\x03\x10\x05"[..]),
+        ] {
+            let p = tmpfile(name);
+            std::fs::write(&p, body).unwrap();
+            let err = read_either(&p).unwrap_err();
+            assert_eq!(err.kind(), io::ErrorKind::InvalidData, "{name}: {err}");
+            assert!(
+                err.to_string().contains("exceeds maxval 15"),
+                "{name}: {err}"
+            );
+            std::fs::remove_file(&p).ok();
+        }
+        // Samples at maxval are fine.
+        let p = tmpfile("l4.pgm");
+        std::fs::write(&p, b"P5\n2 1\n15\n\x0f\x00").unwrap();
+        assert_eq!(read_pgm(&p).unwrap().pixels(), &[15, 0]);
         std::fs::remove_file(&p).ok();
     }
 

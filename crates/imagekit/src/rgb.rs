@@ -67,22 +67,36 @@ impl RgbImageU8 {
         self.data[i + 2] = rgb.2;
     }
 
+    /// One interleaved row: `3 * width` bytes.
+    pub fn row(&self, y: usize) -> &[u8] {
+        let stride = self.width * 3;
+        &self.data[y * stride..(y + 1) * stride]
+    }
+
+    fn row_mut(&mut self, y: usize) -> &mut [u8] {
+        let stride = self.width * 3;
+        &mut self.data[y * stride..(y + 1) * stride]
+    }
+
+    /// A planar image whose row `y` is `fill(self.row(y), row)`.
+    fn planar(&self, fill: impl Fn(&[u8], &mut [f32])) -> ImageF32 {
+        let mut p = ImageF32::zeros(self.width, self.height);
+        // A zero-width image has no rows to fill; `max(1)` only keeps the
+        // chunk size valid.
+        for (y, dst) in p
+            .pixels_mut()
+            .chunks_exact_mut(self.width.max(1))
+            .enumerate()
+        {
+            fill(self.row(y), dst);
+        }
+        p
+    }
+
     /// Splits into three planar `f32` channels `(r, g, b)`.
     pub fn split_channels(&self) -> (ImageF32, ImageF32, ImageF32) {
-        let n = self.width * self.height;
-        let mut r = Vec::with_capacity(n);
-        let mut g = Vec::with_capacity(n);
-        let mut b = Vec::with_capacity(n);
-        for px in self.data.chunks_exact(3) {
-            r.push(f32::from(px[0]));
-            g.push(f32::from(px[1]));
-            b.push(f32::from(px[2]));
-        }
-        (
-            ImageF32::from_vec(self.width, self.height, r),
-            ImageF32::from_vec(self.width, self.height, g),
-            ImageF32::from_vec(self.width, self.height, b),
-        )
+        let plane = |c| self.planar(|src, dst| channel_row(src, c, dst));
+        (plane(0), plane(1), plane(2))
     }
 
     /// Recombines planar `f32` channels (clamped to `[0,255]`).
@@ -100,26 +114,18 @@ impl RgbImageU8 {
             (b.width(), b.height()),
             "channel shape mismatch"
         );
-        let mut data = Vec::with_capacity(r.len() * 3);
-        for ((&vr, &vg), &vb) in r.pixels().iter().zip(g.pixels()).zip(b.pixels()) {
-            data.extend_from_slice(&[quantize(vr), quantize(vg), quantize(vb)]);
+        let mut out = RgbImageU8::zeros(r.width(), r.height());
+        for (c, plane) in [r, g, b].into_iter().enumerate() {
+            for y in 0..out.height {
+                interleave_row(plane.row(y), c, out.row_mut(y));
+            }
         }
-        RgbImageU8 {
-            width: r.width(),
-            height: r.height(),
-            data,
-        }
+        out
     }
 
     /// BT.601 luma plane (`0.299 R + 0.587 G + 0.114 B`).
     pub fn to_luma(&self) -> ImageF32 {
-        let mut data = Vec::with_capacity(self.width * self.height);
-        for px in self.data.chunks_exact(3) {
-            data.push(
-                0.299 * f32::from(px[0]) + 0.587 * f32::from(px[1]) + 0.114 * f32::from(px[2]),
-            );
-        }
-        ImageF32::from_vec(self.width, self.height, data)
+        self.planar(luma_row)
     }
 
     /// Rebuilds an RGB image from this one with its luma plane replaced:
@@ -131,23 +137,9 @@ impl RgbImageU8 {
             (new_luma.width(), new_luma.height()),
             "luma shape mismatch"
         );
-        let old = self.to_luma();
         let mut out = RgbImageU8::zeros(self.width, self.height);
         for y in 0..self.height {
-            for x in 0..self.width {
-                let (r, g, b) = self.get(x, y);
-                let o = old.get(x, y).max(1e-3);
-                let scale = new_luma.get(x, y).max(0.0) / o;
-                out.set(
-                    x,
-                    y,
-                    (
-                        quantize(f32::from(r) * scale),
-                        quantize(f32::from(g) * scale),
-                        quantize(f32::from(b) * scale),
-                    ),
-                );
-            }
+            rescale_row(self.row(y), new_luma.row(y), out.row_mut(y));
         }
         out
     }
@@ -165,6 +157,59 @@ impl RgbImageU8 {
             }
         }
         img
+    }
+}
+
+/// BT.601 luma of one pixel.
+#[inline]
+fn luma(&[r, g, b]: &[u8; 3]) -> f32 {
+    0.299 * f32::from(r) + 0.587 * f32::from(g) + 0.114 * f32::from(b)
+}
+
+// Row-level conversions between one interleaved RGB row (`3 * w` bytes)
+// and one planar row (`w` values). The whole-image conversions above are
+// folds over these, and the GPU pipeline's colour transfer edge calls them
+// row by row, so both paths convert with the same code.
+
+/// Widens channel `c` (0 = R, 1 = G, 2 = B) of an interleaved row into
+/// `dst`.
+///
+/// # Panics
+/// If `c > 2`.
+pub fn channel_row(src: &[u8], c: usize, dst: &mut [f32]) {
+    assert!(c < 3, "channel {c} out of range");
+    for (d, px) in dst.iter_mut().zip(src.as_chunks::<3>().0) {
+        *d = f32::from(px[c]);
+    }
+}
+
+/// BT.601 luma of an interleaved row into `dst`.
+pub fn luma_row(src: &[u8], dst: &mut [f32]) {
+    for (d, px) in dst.iter_mut().zip(src.as_chunks::<3>().0) {
+        *d = luma(px);
+    }
+}
+
+/// Quantizes `src` (see [`quantize`]) into channel `c` of an interleaved
+/// row, leaving the other two channels as they are.
+///
+/// # Panics
+/// If `c > 2`.
+pub fn interleave_row(src: &[f32], c: usize, dst: &mut [u8]) {
+    assert!(c < 3, "channel {c} out of range");
+    for (px, &v) in dst.as_chunks_mut::<3>().0.iter_mut().zip(src) {
+        px[c] = quantize(v);
+    }
+}
+
+/// Writes the interleaved row `src` rescaled to the luma row `new_luma`
+/// into `dst`: each pixel is scaled by `max(new, 0) / max(old, 1e-3)`,
+/// where `old` is the pixel's own BT.601 luma, and quantized.
+pub fn rescale_row(src: &[u8], new_luma: &[f32], dst: &mut [u8]) {
+    let pixels = src.as_chunks::<3>().0.iter().zip(new_luma);
+    for (out, (px, &new)) in dst.as_chunks_mut::<3>().0.iter_mut().zip(pixels) {
+        let scale = new.max(0.0) / luma(px).max(1e-3);
+        *out = px.map(|v| quantize(f32::from(v) * scale));
     }
 }
 
@@ -212,6 +257,69 @@ mod tests {
         let rgb = gray_to_rgb(&g);
         assert_eq!(rgb.get(0, 0), (10, 10, 10));
         assert_eq!(rgb.get(1, 0), (250, 250, 250));
+    }
+
+    /// The per-pixel loops the whole-image conversions used before they
+    /// became folds over the row helpers, kept as the oracle.
+    fn oracle_luma(img: &RgbImageU8) -> Vec<f32> {
+        img.bytes()
+            .chunks_exact(3)
+            .map(|px| {
+                0.299 * f32::from(px[0]) + 0.587 * f32::from(px[1]) + 0.114 * f32::from(px[2])
+            })
+            .collect()
+    }
+
+    #[test]
+    fn row_folds_match_the_per_pixel_loops() {
+        let mut state = 0x2545_f491_u32;
+        let mut next = move || {
+            state ^= state << 13;
+            state ^= state >> 17;
+            state ^= state << 5;
+            state
+        };
+        for (w, h) in [(1, 1), (3, 5), (17, 4), (64, 9)] {
+            let img = RgbImageU8::from_fn(w, h, |_, _| {
+                let v = next();
+                (v as u8, (v >> 8) as u8, (v >> 16) as u8)
+            });
+            let old = oracle_luma(&img);
+            let luma = img.to_luma();
+            let bits = |v: &[f32]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+            assert_eq!(bits(luma.pixels()), bits(&old), "{w}x{h}");
+            // New luma values off the u8 grid, negative and above 255.
+            let new = ImageF32::from_fn(w, h, |x, y| (x * 37 + y * 11) as f32 * 0.731 - 20.0);
+            let mut want = Vec::new();
+            for (i, px) in img.bytes().chunks_exact(3).enumerate() {
+                let scale = new.pixels()[i].max(0.0) / old[i].max(1e-3);
+                want.extend(
+                    px.iter()
+                        .map(|&v| (f32::from(v) * scale).clamp(0.0, 255.0).round() as u8),
+                );
+            }
+            assert_eq!(img.with_luma(&new).bytes(), &want[..], "{w}x{h}");
+            let (r, g, b) = img.split_channels();
+            for (c, plane) in [&r, &g, &b].into_iter().enumerate() {
+                let want: Vec<f32> = img
+                    .bytes()
+                    .iter()
+                    .skip(c)
+                    .step_by(3)
+                    .map(|&v| f32::from(v))
+                    .collect();
+                assert_eq!(plane.pixels(), &want[..], "{w}x{h} channel {c}");
+            }
+            let shifted = |p: &ImageF32| ImageF32::from_fn(w, h, |x, y| p.get(x, y) * 1.3 - 9.5);
+            let (r2, g2, b2) = (shifted(&r), shifted(&g), shifted(&b));
+            let mut want = Vec::new();
+            for i in 0..w * h {
+                for p in [&r2, &g2, &b2] {
+                    want.push(p.pixels()[i].clamp(0.0, 255.0).round() as u8);
+                }
+            }
+            assert_eq!(RgbImageU8::merge_channels(&r2, &g2, &b2).bytes(), &want[..]);
+        }
     }
 
     #[test]

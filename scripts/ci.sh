@@ -56,7 +56,7 @@ cargo test -q --release --test tune -- --ignored
 echo "== metric baselines"
 ./scripts/check_metrics.sh
 
-echo "== odd-shape smoke (1001x701 through the CLI, base and optimized)"
+echo "== odd-shape smoke (1001x701 PGM and PPM through the CLI, base and optimized)"
 smoke_dir=$(mktemp -d)
 trap 'rm -rf "$smoke_dir"' EXIT
 { printf 'P5\n1001 701\n255\n'; head -c $((1001 * 701)) /dev/urandom; } \
@@ -70,6 +70,20 @@ trap 'rm -rf "$smoke_dir"' EXIT
 # The base GPU config keeps the reduction on the CPU, so its output must
 # match the CPU reference bit-for-bit even on odd shapes.
 cmp "$smoke_dir/odd-none.pgm" "$smoke_dir/odd-cpu.pgm"
+# The same odd shape as a colour frame through the colour transfer edge:
+# per channel (sanitized, statically proved) and luma-only, and the base
+# config's per-channel output bit-for-bit against the CPU reference.
+{ printf 'P6\n1001 701\n255\n'; head -c $((1001 * 701 * 3)) /dev/urandom; } \
+    > "$smoke_dir/odd.ppm"
+./target/release/sharpen "$smoke_dir/odd.ppm" "$smoke_dir/odd-rgb.ppm" \
+    --color rgb --sanitize --verify-static > /dev/null
+./target/release/sharpen "$smoke_dir/odd.ppm" "$smoke_dir/odd-luma.ppm" \
+    --color luma > /dev/null
+./target/release/sharpen "$smoke_dir/odd.ppm" "$smoke_dir/odd-rgb-none.ppm" \
+    --opts none --color rgb > /dev/null
+./target/release/sharpen "$smoke_dir/odd.ppm" "$smoke_dir/odd-rgb-cpu.ppm" \
+    --cpu --color rgb > /dev/null
+cmp "$smoke_dir/odd-rgb-none.ppm" "$smoke_dir/odd-rgb-cpu.ppm"
 
 echo "== autotune smoke (model-searched schedule on the odd shape, sanitized)"
 # --autotune replaces --opts with the model search's winner; the sanitized
@@ -124,7 +138,7 @@ if [ "$full" -eq 1 ]; then
     cargo test -q --release --test sanitize -- --ignored
     echo "== full arbitrary-shape sweep (all configs at 1001x701)"
     cargo test -q --release --test arbitrary_shapes -- --ignored
-    echo "== full u8 transfer-edge sweep (all configs at 1001x701, sanitized)"
+    echo "== full u8 and colour transfer-edge sweeps (all configs at 1001x701, sanitized)"
     cargo test -q --release --test pipeline_equivalence -- --ignored
     echo "== exhaustive quantizer check (all 2^32 f32 bit patterns vs libm round)"
     cargo test -q --release -p imagekit -- --ignored

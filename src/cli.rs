@@ -3,14 +3,13 @@
 //! Parsing and orchestration live here (unit-testable); the binary in
 //! `src/bin/sharpen.rs` is a thin wrapper.
 
-use std::cell::OnceCell;
 use std::path::PathBuf;
 
 use imagekit::{io, metrics, ImageF32, ImageU8, RgbImageU8};
-use sharpness_core::color::{sharpen_rgb, ColorMode};
+use sharpness_core::color::{sharpen_rgb, sharpen_rgb_on_plan, ColorMode};
 use sharpness_core::cpu::CpuPipeline;
 use sharpness_core::gpu::{
-    verify_static, GpuPipeline, OptConfig, Schedule, StaticReport, ThroughputEngine,
+    verify_static, GpuPipeline, OptConfig, PipelinePlan, Schedule, StaticReport, ThroughputEngine,
     ThroughputReport, Tuning,
 };
 use sharpness_core::params::SharpnessParams;
@@ -164,6 +163,9 @@ options:
                     peak fractions), the frame-level transfer verdict, the
                     host LLC-residency verdict, and per-phase span shares
                     (GPU only)
+                    --metrics, --profile and --explain describe the frame
+                    that produced the output, read off its plan (no frame
+                    is re-run); for --color rgb that is the last plane, B
   --banded[=rows]   run the cache-blocked megapass schedule: kernels
                     execute band-by-band over row bands sized to the host
                     cache (default auto; =N requests ~N-row bands).
@@ -608,86 +610,60 @@ fn autotune_search(
     )
 }
 
-/// The pipeline a GPU run of a `w`×`h` plane executes, on a fresh context
-/// (sanitized under `--sanitize`). Under `--verify-static` the first GPU
-/// plane proves its frame program before touching a single pixel (a
-/// failed proof aborts the run) and keeps the report in `proof`; every
-/// plane of a run shares the shape and configuration, so later planes
-/// reuse it.
-fn gpu_pipeline(
+/// What the executed plan recorded about the last frame it ran: its raw
+/// command records (with cost counters), derived telemetry and span tree,
+/// the data behind `--metrics`, `--profile`, `--explain` and enriched
+/// single-frame traces.
+struct Observed {
+    records: Vec<CommandRecord>,
+    tel: FrameTelemetry,
+    spans: Vec<SpanRecord>,
+}
+
+/// Runs `work` on the one plan a GPU request executes (a grayscale frame,
+/// or every plane of a colour frame), prepared on a fresh context:
+/// sanitized under `--sanitize`, with spans when `observe`. Under
+/// `--verify-static` the frame program is proved before a single pixel is
+/// touched (a failed proof aborts the run) and the report stored in
+/// `proof`. Fails with the sanitizer's report if the context recorded any
+/// violation and, when `observe`, reads the observation off the same
+/// plan: no frame is re-run.
+fn on_gpu_plan<T>(
     cli: &CliArgs,
     preset: DevicePreset,
     (w, h): (usize, usize),
-    proof: &OnceCell<StaticReport>,
-) -> Result<GpuPipeline, String> {
+    observe: bool,
+    proof: &mut Option<StaticReport>,
+    work: impl FnOnce(&mut PipelinePlan) -> Result<T, String>,
+) -> Result<(T, Option<Observed>), String> {
     let (opts, tuning) = gpu_config_for(cli, preset, w, h)?;
-    if cli.verify_static && proof.get().is_none() {
-        let r = verify_static(w, h, &opts, &tuning, schedule_of(cli))?;
-        let _ = proof.set(r);
+    if cli.verify_static {
+        *proof = Some(verify_static(w, h, &opts, &tuning, schedule_of(cli))?);
     }
-    let ctx = if cli.sanitize {
+    let mut ctx = if cli.sanitize {
         Context::sanitized(preset.spec())
     } else {
         Context::new(preset.spec())
     };
-    Ok(GpuPipeline::new(ctx, cli.params, opts)
+    if observe {
+        ctx = ctx.with_spans();
+    }
+    let mut plan = GpuPipeline::new(ctx, cli.params, opts)
         .with_tuning(tuning)
-        .with_schedule(schedule_of(cli)))
-}
-
-/// Fails with the sanitizer's report if `pipe`'s context recorded any
-/// violation.
-fn sanitizer_verdict(pipe: &GpuPipeline) -> Result<(), String> {
-    match pipe.context().sanitize_report() {
-        Some(san) if !san.is_clean() => Err(format!("{san}")),
-        _ => Ok(()),
-    }
-}
-
-/// Sharpens one f32 plane (a colour channel or luma, or a grayscale frame
-/// on the CPU engine).
-fn sharpen_plane(
-    cli: &CliArgs,
-    plane: &ImageF32,
-    proof: &OnceCell<StaticReport>,
-) -> Result<RunReport, String> {
-    match cli.engine {
-        Engine::Cpu => CpuPipeline::new(cli.params).run(plane),
-        Engine::Gpu(preset) => {
-            let pipe = gpu_pipeline(cli, preset, (plane.width(), plane.height()), proof)?;
-            let report = pipe.run(plane)?;
-            sanitizer_verdict(&pipe)?;
-            Ok(report)
+        .with_schedule(schedule_of(cli))
+        .prepared(w, h)?;
+    let out = work(&mut plan)?;
+    if let Some(san) = plan.pipeline().context().sanitize_report() {
+        if !san.is_clean() {
+            return Err(format!("{san}"));
         }
     }
-}
-
-/// Sharpens an 8-bit grayscale frame. On the GPU engine the frame goes
-/// through the u8 transfer edge and no f32 copy of it is made; the CPU
-/// engine converts, and also returns its plane report.
-fn sharpen_gray(
-    cli: &CliArgs,
-    img: &ImageU8,
-    proof: &OnceCell<StaticReport>,
-) -> Result<(U8Report, Option<RunReport>), String> {
-    let (w, h) = (img.width(), img.height());
-    match cli.engine {
-        Engine::Cpu => {
-            let r = sharpen_plane(cli, &img.to_f32(), proof)?;
-            let edge = U8Report {
-                output: r.output.to_u8(),
-                output_energy: metrics::gradient_energy(&r.output),
-                total_s: r.total_s,
-            };
-            Ok((edge, Some(r)))
-        }
-        Engine::Gpu(preset) => {
-            let pipe = gpu_pipeline(cli, preset, (w, h), proof)?;
-            let edge = pipe.prepared(w, h)?.run_u8(img)?;
-            sanitizer_verdict(&pipe)?;
-            Ok((edge, None))
-        }
-    }
+    let observed = observe.then(|| Observed {
+        records: plan.records().to_vec(),
+        tel: plan.telemetry(),
+        spans: plan.spans(),
+    });
+    Ok((out, observed))
 }
 
 /// Replays `plane` as a `cli.frames`-long stream through the throughput
@@ -718,28 +694,6 @@ fn run_throughput(cli: &CliArgs, plane: &ImageF32) -> Result<(String, Throughput
     Ok((text, rep))
 }
 
-/// Re-runs one plane through a prepared plan with spans enabled and
-/// returns the frame's raw command records (with cost counters), its
-/// derived telemetry, and its span tree — the data behind `--metrics`,
-/// `--profile`, `--explain`, and enriched single-frame traces.
-fn gpu_observe(
-    cli: &CliArgs,
-    plane: &ImageF32,
-) -> Result<(Vec<CommandRecord>, FrameTelemetry, Vec<SpanRecord>), String> {
-    let Engine::Gpu(preset) = cli.engine else {
-        return Err("kernel telemetry requires the GPU engine".to_string());
-    };
-    let (opts, tuning) = gpu_config_for(cli, preset, plane.width(), plane.height())?;
-    let pipe = GpuPipeline::new(Context::new(preset.spec()).with_spans(), cli.params, opts)
-        .with_tuning(tuning)
-        .with_schedule(schedule_of(cli));
-    let mut plan = pipe.prepared(plane.width(), plane.height())?;
-    plan.run(plane)?;
-    let tel = plan.telemetry();
-    let spans = plan.spans();
-    Ok((plan.records().to_vec(), tel, spans))
-}
-
 /// A decoded input frame.
 enum Input {
     Gray(ImageU8),
@@ -763,23 +717,45 @@ pub fn run(cli: &CliArgs) -> Result<String, String> {
     }
     let ext = cli.input.extension().and_then(|e| e.to_str()).unwrap_or("");
     let mut summary = String::new();
-    let proof = OnceCell::new();
+    let mut static_report = None;
     let is_gpu = matches!(cli.engine, Engine::Gpu(_));
     // Kernel telemetry (counters survive only on the plan's queue, not in
-    // a report) is observed when --metrics/--profile/--explain ask for it,
-    // and for single-frame GPU traces so they carry real command kinds
-    // and the cumulative global-bytes counter track. A single-frame trace
-    // that observed nothing (the CPU engine) falls back to a plane report.
+    // a report) is read off the plan that produced the output when
+    // --metrics/--profile/--explain ask for it, and for single-frame GPU
+    // traces so they carry real command kinds and the cumulative
+    // global-bytes counter track. A single-frame trace on the CPU engine,
+    // which observes nothing, falls back to a plane report.
     let wants_single_trace = (cli.trace_json.is_some() || cli.gantt) && cli.frames == 1;
     let observe =
         is_gpu && (cli.metrics.is_some() || cli.profile || cli.explain || wants_single_trace);
-    let needs_fallback = wants_single_trace && !observe;
+    let cpu = CpuPipeline::new(cli.params);
     let mut fallback: Option<RunReport> = None;
+    let mut observed: Option<Observed> = None;
     let input: Input;
     match ext {
         "pgm" => {
             let img = io::read_pgm(&cli.input).map_err(|e| e.to_string())?;
-            let (edge, report) = sharpen_gray(cli, &img, &proof)?;
+            let edge = match cli.engine {
+                Engine::Cpu => {
+                    let r = cpu.run(&img.to_f32())?;
+                    let edge = U8Report {
+                        output: r.output.to_u8(),
+                        output_energy: metrics::gradient_energy(&r.output),
+                        total_s: r.total_s,
+                    };
+                    fallback = Some(r);
+                    edge
+                }
+                Engine::Gpu(preset) => {
+                    let shape = (img.width(), img.height());
+                    let (edge, obs) =
+                        on_gpu_plan(cli, preset, shape, observe, &mut static_report, |plan| {
+                            plan.run_u8(&img)
+                        })?;
+                    observed = obs;
+                    edge
+                }
+            };
             io::write_pgm(&cli.output, &edge.output).map_err(|e| e.to_string())?;
             summary.push_str(&format!(
                 "sharpened {}x{} grayscale in {:.3} simulated ms\n",
@@ -792,18 +768,27 @@ pub fn run(cli: &CliArgs) -> Result<String, String> {
                 metrics::gradient_energy_u8(&img),
                 edge.output_energy
             ));
-            fallback = report;
             input = Input::Gray(img);
         }
         "ppm" => {
             let frame = io::read_ppm(&cli.input).map_err(|e| e.to_string())?;
-            struct PlaneSharpener<'a>(&'a CliArgs, &'a OnceCell<StaticReport>);
-            impl sharpness_core::color::Sharpener for PlaneSharpener<'_> {
-                fn sharpen(&self, plane: &ImageF32) -> Result<RunReport, String> {
-                    sharpen_plane(self.0, plane, self.1)
+            let color = match cli.engine {
+                Engine::Cpu => {
+                    if wants_single_trace {
+                        fallback = Some(cpu.run(&frame.to_luma())?);
+                    }
+                    sharpen_rgb(&cpu, &frame, cli.color)?
                 }
-            }
-            let color = sharpen_rgb(&PlaneSharpener(cli, &proof), &frame, cli.color)?;
+                Engine::Gpu(preset) => {
+                    let shape = (frame.width(), frame.height());
+                    let (color, obs) =
+                        on_gpu_plan(cli, preset, shape, observe, &mut static_report, |plan| {
+                            sharpen_rgb_on_plan(plan, &frame, cli.color)
+                        })?;
+                    observed = obs;
+                    color
+                }
+            };
             io::write_ppm(&cli.output, &color.output).map_err(|e| e.to_string())?;
             summary.push_str(&format!(
                 "sharpened {}x{} colour frame ({:?}, {} plane runs) in {:.3} simulated ms\n",
@@ -813,9 +798,6 @@ pub fn run(cli: &CliArgs) -> Result<String, String> {
                 color.plane_runs,
                 color.total_s * 1e3
             ));
-            if needs_fallback {
-                fallback = Some(sharpen_plane(cli, &frame.to_luma(), &proof)?);
-            }
             input = Input::Rgb(frame);
         }
         other => {
@@ -824,9 +806,9 @@ pub fn run(cli: &CliArgs) -> Result<String, String> {
             ))
         }
     }
-    // The f32 plane the stream and the observation run on: the grayscale
-    // frame, or a colour frame's luma. Built only when one of them runs.
-    let plane = (cli.frames > 1 || observe).then(|| match &input {
+    // The f32 plane the throughput engine streams: the grayscale frame, or
+    // a colour frame's luma. Built only for a stream.
+    let plane = (cli.frames > 1).then(|| match &input {
         Input::Gray(img) => img.to_f32(),
         Input::Rgb(frame) => frame.to_luma(),
     });
@@ -835,7 +817,7 @@ pub fn run(cli: &CliArgs) -> Result<String, String> {
     // Multi-frame stream: run the throughput engine once; its report also
     // carries the per-worker traces for --trace/--gantt.
     let tput: Option<ThroughputReport> = match &plane {
-        Some(plane) if cli.frames > 1 => {
+        Some(plane) => {
             let (text, rep) = run_throughput(cli, plane)?;
             summary.push_str(&text);
             eprint!("{}", rep.latency_summary());
@@ -860,11 +842,6 @@ pub fn run(cli: &CliArgs) -> Result<String, String> {
         None
     };
 
-    let observed = match &plane {
-        Some(plane) if observe => Some(gpu_observe(cli, plane)?),
-        _ => None,
-    };
-
     if cli.sanitize {
         // Any violation aborts the run with the sanitizer's report, so
         // reaching this point means every dispatch came back clean.
@@ -873,17 +850,16 @@ pub fn run(cli: &CliArgs) -> Result<String, String> {
         );
     }
     // Reaching this point with --verify-static means the proof succeeded
-    // (sharpen_plane aborts otherwise); report the statistics it kept.
-    let static_report: Option<StaticReport> = proof.get().copied();
+    // (on_gpu_plan aborts otherwise); report the statistics it kept.
     if let Some(r) = &static_report {
         summary.push_str(&r.summary_line());
         summary.push('\n');
     }
     if let Some(path) = &cli.metrics {
-        let (_, tel, spans) = observed.as_ref().expect("observed when --metrics");
+        let o = observed.as_ref().expect("observed when --metrics");
         let mut reg = MetricsRegistry::new();
-        tel.to_registry(&mut reg);
-        simgpu::span::to_registry(spans, &mut reg);
+        o.tel.to_registry(&mut reg);
+        simgpu::span::to_registry(&o.spans, &mut reg);
         if let Some(r) = &static_report {
             r.to_registry(&mut reg);
         }
@@ -913,7 +889,7 @@ pub fn run(cli: &CliArgs) -> Result<String, String> {
         summary.push_str(&format!("wrote metrics to {}\n", file.display()));
     }
     if cli.profile {
-        let (_, tel, _) = observed.as_ref().expect("observed when --profile");
+        let o = observed.as_ref().expect("observed when --profile");
         summary.push_str(&format!(
             "host: cpu features [{}], kernel backend {} (simd feature {})\n",
             sharpness_core::simd::host_features(),
@@ -924,17 +900,22 @@ pub fn run(cli: &CliArgs) -> Result<String, String> {
                 "off"
             },
         ));
-        summary.push_str("kernel efficiency (one luma-plane frame):\n");
-        summary.push_str(&tel.efficiency_table());
+        let frame = match (&input, cli.color) {
+            (Input::Gray(_), _) => "grayscale frame",
+            (Input::Rgb(_), ColorMode::LumaOnly) => "luma-plane frame",
+            (Input::Rgb(_), ColorMode::PerChannel) => "B-plane frame, the last of 3",
+        };
+        summary.push_str(&format!("kernel efficiency (one {frame}):\n"));
+        summary.push_str(&o.tel.efficiency_table());
     }
     if cli.explain {
         let Engine::Gpu(preset) = cli.engine else {
             unreachable!("--explain rejected with --cpu at parse time");
         };
-        let (_, tel, spans) = observed.as_ref().expect("observed when --explain");
+        let o = observed.as_ref().expect("observed when --explain");
         let e = sharpness_core::analyze::explain(
-            tel,
-            spans,
+            &o.tel,
+            &o.spans,
             &preset.spec(),
             sharpness_core::autotune::detected_cache_bytes(),
         );
@@ -944,7 +925,7 @@ pub fn run(cli: &CliArgs) -> Result<String, String> {
         let json = match &tput {
             Some(tp) => trace::multiframe_chrome_json(&tp.traces),
             None => match &observed {
-                Some((records, _, spans)) => trace::to_chrome_json_with_spans(records, spans),
+                Some(o) => trace::to_chrome_json_with_spans(&o.records, &o.spans),
                 None => {
                     let report = fallback.as_ref().expect("plane report when unobserved");
                     trace::to_chrome_json(&report_to_records(report))
@@ -958,7 +939,7 @@ pub fn run(cli: &CliArgs) -> Result<String, String> {
         match &tput {
             Some(tp) => summary.push_str(&trace::worker_gantt(&tp.traces, 60)),
             None => match &observed {
-                Some((records, _, _)) => summary.push_str(&trace::gantt(records, 60)),
+                Some(o) => summary.push_str(&trace::gantt(&o.records, 60)),
                 None => {
                     let report = fallback.as_ref().expect("plane report when unobserved");
                     let records = report_to_records(report);
@@ -1521,6 +1502,87 @@ mod tests {
         assert!(summary.contains("3 plane runs"));
         assert!(io::read_ppm(&output).is_ok());
         for p in [input, output] {
+            std::fs::remove_file(p).ok();
+        }
+    }
+
+    /// Observation reads the plan that produced the output: turning
+    /// `--explain --metrics --profile` on changes neither the output bytes
+    /// nor the simulated-ms line, and the report equals the one a
+    /// separate luma-plane (or grayscale) frame observed with spans gives,
+    /// apart from its wall-clock line: the counters do not depend on the
+    /// pixels.
+    #[test]
+    fn observation_reads_the_executed_plan() {
+        let dir = std::env::temp_dir();
+        let tag = std::process::id();
+        let pgm = dir.join(format!("cli-obs-in-{tag}.pgm"));
+        let ppm = dir.join(format!("cli-obs-in-{tag}.ppm"));
+        let mfile = dir.join(format!("cli-obs-{tag}.jsonl"));
+        let (w, h) = (37, 29);
+        let g = imagekit::generate::natural(w, h, 23).to_u8();
+        let b = imagekit::generate::value_noise(w, h, 3, 24).to_u8();
+        io::write_pgm(&pgm, &g).unwrap();
+        let frame = RgbImageU8::from_fn(w, h, |x, y| (g.get(x, y), 255 - g.get(x, y), b.get(x, y)));
+        io::write_ppm(&ppm, &frame).unwrap();
+        let spec = DeviceSpec::firepro_w8000();
+        for (input, color, plane) in [
+            (&pgm, "luma", g.to_f32()),
+            (&ppm, "rgb", frame.to_luma()),
+            (&ppm, "luma", frame.to_luma()),
+        ] {
+            let ext = input.extension().unwrap().to_str().unwrap();
+            let out = |name: &str| dir.join(format!("cli-obs-{name}-{tag}.{ext}"));
+            let base = [input.to_str().unwrap(), "--color", color];
+            let run_with = |out: &std::path::Path, flags: &[&str]| {
+                let mut argv = vec![base[0], out.to_str().unwrap()];
+                argv.extend_from_slice(&base[1..]);
+                argv.extend_from_slice(flags);
+                let summary = run(&parse_args(&strs(&argv)).unwrap()).unwrap();
+                (summary, std::fs::read(out).unwrap())
+            };
+            let (plain, plain_bytes) = run_with(&out("plain"), &[]);
+            let observed_flags = [
+                "--explain",
+                "--metrics",
+                mfile.to_str().unwrap(),
+                "--profile",
+            ];
+            let (observed, observed_bytes) = run_with(&out("observed"), &observed_flags);
+            let case = format!("{ext} --color {color}");
+            assert_eq!(plain_bytes, observed_bytes, "{case}");
+            let first = |s: &str| s.lines().next().unwrap_or("").to_string();
+            assert_eq!(first(&plain), first(&observed), "{case}");
+            let pipe = GpuPipeline::new(
+                Context::new(spec.clone()).with_spans(),
+                SharpnessParams::default(),
+                OptConfig::all(),
+            );
+            let mut plan = pipe.prepared(w, h).unwrap();
+            plan.run(&plane).unwrap();
+            let want = sharpness_core::analyze::explain(
+                &plan.telemetry(),
+                &plan.spans(),
+                &spec,
+                sharpness_core::autotune::detected_cache_bytes(),
+            )
+            .render(8);
+            let report: Vec<&str> = observed
+                .lines()
+                .skip_while(|l| !l.starts_with("bottleneck report:"))
+                .take(want.lines().count())
+                .filter(|l| !l.starts_with("wall/sim:"))
+                .collect();
+            let want: Vec<&str> = want
+                .lines()
+                .filter(|l| !l.starts_with("wall/sim:"))
+                .collect();
+            assert_eq!(report, want, "{case}");
+            for p in [out("plain"), out("observed")] {
+                std::fs::remove_file(p).ok();
+            }
+        }
+        for p in [pgm, ppm, mfile] {
             std::fs::remove_file(p).ok();
         }
     }

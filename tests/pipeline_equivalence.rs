@@ -3,6 +3,7 @@
 //! workload shape, under the write-race-validating context.
 
 use imagekit::{generate, metrics, ImageF32};
+use sharpness::core::color::{sharpen_rgb, sharpen_rgb_on_plan, ColorMode};
 use sharpness::prelude::*;
 
 fn vctx() -> Context {
@@ -333,4 +334,65 @@ fn u8_edge_matches_the_f32_path() {
 #[ignore]
 fn u8_edge_matches_the_f32_path_for_every_config_at_1001x701() {
     assert_u8_edge_matches_f32_path(1001, 701, &all_configs());
+}
+
+/// A `w`×`h` colour frame whose three channels differ.
+fn rgb_frame(w: usize, h: usize) -> RgbImageU8 {
+    let r = generate::natural(w, h, 41).to_u8();
+    let g = generate::natural(w, h, 42).to_u8();
+    let b = generate::value_noise(w, h, 3, 43).to_u8();
+    RgbImageU8::from_fn(w, h, |x, y| (r.get(x, y), g.get(x, y), b.get(x, y)))
+}
+
+/// Runs `opts` on a `w`×`h` colour frame through the colour transfer edge
+/// (`sharpen_rgb_on_plan`: gather or compute each plane during the padded
+/// upload, interleave or luma-rescale during the readback, every plane on
+/// one plan) and through `sharpen_rgb` on a `GpuPipeline` (f32 planes,
+/// fresh buffers per plane), under every schedule and both colour modes,
+/// asserting the same bytes and `total_s` bits, and that the plan's
+/// records are those of an f32 plan running the last plane, with the
+/// sanitizer clean.
+fn assert_rgb_edge_matches_sharpen_rgb(w: usize, h: usize, configs: &[OptConfig]) {
+    let params = SharpnessParams::default();
+    let frame = rgb_frame(w, h);
+    let (_, _, blue) = frame.split_channels();
+    let luma = frame.to_luma();
+    for &opts in configs {
+        for schedule in [
+            Schedule::Monolithic,
+            Schedule::Banded(1),
+            Schedule::Banded(7),
+        ] {
+            let ctx = Context::sanitized(DeviceSpec::firepro_w8000());
+            let pipe = GpuPipeline::new(ctx.clone(), params, opts).with_schedule(schedule);
+            let mut edge_plan = pipe.prepared(w, h).unwrap();
+            for (mode, last) in [(ColorMode::PerChannel, &blue), (ColorMode::LumaOnly, &luma)] {
+                let case = format!("{w}x{h} {opts:?} {schedule:?} {mode:?}");
+                let edge = sharpen_rgb_on_plan(&mut edge_plan, &frame, mode).unwrap();
+                let want = sharpen_rgb(&pipe, &frame, mode).unwrap();
+                assert_eq!(edge.output, want.output, "{case}");
+                assert_eq!(edge.total_s.to_bits(), want.total_s.to_bits(), "{case}");
+                assert_eq!(edge.plane_runs, want.plane_runs, "{case}");
+                let mut f32_plan = pipe.prepared(w, h).unwrap();
+                f32_plan.run(last).unwrap();
+                assert_eq!(record_bits(&edge_plan), record_bits(&f32_plan), "{case}");
+            }
+            let san = ctx.sanitize_report().expect("sanitized context");
+            assert!(san.is_clean(), "{w}x{h} {opts:?} {schedule:?}: {san}");
+        }
+    }
+}
+
+#[test]
+fn rgb_edge_matches_sharpen_rgb() {
+    for (w, h) in [(3, 3), (5, 7), (17, 4), (64, 64)] {
+        assert_rgb_edge_matches_sharpen_rgb(w, h, &all_configs());
+    }
+}
+
+/// Every config at 1001×701 (minutes in debug; `scripts/ci.sh --full`).
+#[test]
+#[ignore]
+fn rgb_edge_matches_sharpen_rgb_for_every_config_at_1001x701() {
+    assert_rgb_edge_matches_sharpen_rgb(1001, 701, &all_configs());
 }
